@@ -3,9 +3,10 @@
 The canonical form of a graph is the graph6 encoding of a canonical
 relabeling, computed in two stages:
 
-1. iterated degree refinement (1-dimensional Weisfeiler-Leman): vertices
-   are partitioned into color classes whose identifiers depend only on
-   the isomorphism type, never on the input labeling;
+1. iterated degree refinement (1-dimensional Weisfeiler-Leman) by
+   counting each vertex's neighbors in every color cell: vertices are
+   partitioned into color classes whose identifiers depend only on the
+   isomorphism type, never on the input labeling;
 2. a tie-branching search for the lexicographically smallest
    upper-triangle bit string over all vertex orders that list the color
    classes in canonical order and permute freely inside each class.
@@ -21,24 +22,37 @@ permutation search and against known isomorphism-class counts.
 from __future__ import annotations
 
 from .formats import GRAPH6_MAX_N, graph6_bytes_from_rows
-from .graph import Graph, _bits, degree_multiset
+from .graph import Graph, degree_multiset
 
 
 def refined_colors(n: int, adj: tuple[int, ...]) -> list[int]:
-    """Stable iterated-degree coloring with relabeling-invariant ids."""
+    """Stable iterated-degree coloring with relabeling-invariant ids.
+
+    Each round splits the color cells by counting, for every vertex, its
+    neighbors in each cell (refinement by counting cells, McKay and
+    Piperno 2014). A vertex's new id ranks ``(color, negated counts)``;
+    vertices of one cell share a degree, so this is the order of their
+    sorted neighbor-color tuples. Refinement stops once the coloring is
+    discrete or a round splits no cell.
+    """
     degrees = [m.bit_count() for m in adj]
     rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
     color = [rank[d] for d in degrees]
-    while True:
+    ncells = len(rank)
+    while ncells < n:
+        cells = [0] * ncells
+        for v, c in enumerate(color):
+            cells[c] |= 1 << v
         sigs = [
-            (color[v], tuple(sorted(color[w] for w in _bits(adj[v]))))
-            for v in range(n)
+            (c, tuple([-(a & cell).bit_count() for cell in cells]))
+            for c, a in zip(color, adj)
         ]
         remap = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [remap[s] for s in sigs]
-        if new == color:
-            return color
-        color = new
+        if len(remap) == ncells:
+            break
+        color = [remap[s] for s in sigs]
+        ncells = len(remap)
+    return color
 
 
 def _twins(adj: tuple[int, ...], u: int, v: int) -> bool:

@@ -14,6 +14,7 @@ exhaustively and collects every violation; nothing is dropped silently.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Any, Iterator
@@ -28,12 +29,11 @@ from .graph import Graph
 
 MAX_ENUMERATION_N = 9
 
-_LEVEL_CACHE: dict[int, list[bytes]] = {1: [b"@"]}
 
-
-def _level_forms(n: int) -> list[bytes]:
-    if n in _LEVEL_CACHE:
-        return _LEVEL_CACHE[n]
+@functools.cache
+def _level_forms(n: int) -> tuple[bytes, ...]:
+    if n == 1:
+        return (b"@",)
     forms: set[bytes] = set()
     for parent_form in _level_forms(n - 1):
         masks = decode_graph6(parent_form).adjacency_masks
@@ -44,9 +44,12 @@ def _level_forms(n: int) -> list[bytes]:
             ]
             child.append(neighborhood)
             forms.add(canonical_form(Graph.from_masks(n, child)))
-    ordered = sorted(forms)
-    _LEVEL_CACHE[n] = ordered
-    return ordered
+    return tuple(sorted(forms))
+
+
+def clear_level_cache() -> None:
+    """Forget every generated level, so the next enumeration runs cold."""
+    _level_forms.cache_clear()
 
 
 def enumerate_nonisomorphic(n: int) -> Iterator[Graph]:

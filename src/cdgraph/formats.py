@@ -22,40 +22,40 @@ class Graph6ParseError(ValueError):
         self.offset = offset
 
 
-def _column_bits(g: Graph) -> list[int]:
-    adj = g.adjacency_masks
-    return [adj[i] >> j & 1 for j in range(1, g.n) for i in range(j)]
-
-
-def _pack_body(bits: list[int]) -> bytes:
-    out = bytearray()
-    for start in range(0, len(bits), 6):
-        chunk = bits[start : start + 6]
-        chunk += [0] * (6 - len(chunk))
-        value = 0
-        for b in chunk:
-            value = value << 1 | b
-        out.append(value + 63)
-    return bytes(out)
+def _pack(n: int, code: int) -> bytes:
+    # ``code`` holds the n(n-1)/2 upper-triangle bits in column order,
+    # first bit most significant; pad it to whole 6-bit groups.
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    code <<= pad
+    top = nbits + pad - 6
+    return bytes([n + 63, *[(code >> s & 63) + 63 for s in range(top, -1, -6)]])
 
 
 def encode_graph6(g: Graph) -> bytes:
     if g.n > GRAPH6_MAX_N:
         raise ValueError(f"graph6 single-byte header supports n <= {GRAPH6_MAX_N}")
-    return bytes((g.n + 63,)) + _pack_body(_column_bits(g))
+    adj = g.adjacency_masks
+    code = 0
+    for j in range(1, g.n):
+        row = 0
+        for i in range(j):
+            row = row << 1 | adj[i] >> j & 1
+        code = code << j | row
+    return _pack(g.n, code)
 
 
 def graph6_bytes_from_rows(n: int, rows: list[int]) -> bytes:
     """Assemble graph6 bytes from per-vertex prefix-adjacency rows.
 
-    ``rows[j]`` holds the j bits of adjacency between vertex j+1 and
+    ``rows[j]`` holds the j+1 bits of adjacency between vertex j+1 and
     vertices 0..j, most significant bit first; this is exactly the
     graph6 column order.
     """
-    bits: list[int] = []
+    code = 0
     for j, row in enumerate(rows, start=1):
-        bits.extend(row >> (j - k) & 1 for k in range(1, j + 1))
-    return bytes((n + 63,)) + _pack_body(bits)
+        code = code << j | row
+    return _pack(n, code)
 
 
 def decode_graph6(data: bytes | str) -> Graph:
@@ -80,6 +80,7 @@ def decode_graph6(data: bytes | str) -> Graph:
         raise Graph6ParseError(f"body too long: expected {expected} bytes", 1 + expected)
     masks = [0] * n
     bit_index = 0
+    i, j = 0, 1  # bit_index is the bit for vertex pair (i, j), i < j
     for offset, byte in enumerate(body, start=1):
         value = byte - 63
         if not 0 <= value < 64:
@@ -91,20 +92,13 @@ def decode_graph6(data: bytes | str) -> Graph:
                     raise Graph6ParseError("nonzero padding bits", offset)
                 continue
             if bit:
-                i, j = _bit_position(bit_index)
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
             bit_index += 1
+            i += 1
+            if i == j:
+                i, j = 0, j + 1
     return Graph.from_masks(n, masks)
-
-
-def _bit_position(index: int) -> tuple[int, int]:
-    # Invert the column-order enumeration: column j holds bits for i < j.
-    j = 1
-    while index >= j:
-        index -= j
-        j += 1
-    return index, j
 
 
 def encode_edgelist(g: Graph) -> str:
@@ -122,6 +116,8 @@ def decode_edgelist(text: str) -> Graph:
         n = int(lines[0])
     except ValueError:
         raise ValueError(f"edge-list header {lines[0]!r} is not a vertex count") from None
+    if n > GRAPH6_MAX_N:
+        raise ValueError(f"edge-list header {n} exceeds the n <= {GRAPH6_MAX_N} vertex limit")
     edges = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()

@@ -117,6 +117,25 @@ def min_code_by_permutation(n: int, edges) -> tuple[int, ...]:
     return best if best is not None else ()
 
 
+def refined_colors_by_sorted_neighbors(n: int, edges) -> list[int]:
+    """Iterated degree refinement ranked by sorted neighbor colors: each
+    round gives every vertex the rank of ``(color, sorted colors of its
+    neighbors)`` among all signatures, until a round changes no color.
+    The package must produce exactly these ids, because the canonical
+    form orders the color classes by them."""
+    adj = adjacency(n, edges)
+    degrees = [len(adj[v]) for v in range(n)]
+    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
+    color = [rank[d] for d in degrees]
+    while True:
+        sigs = [(color[v], tuple(sorted(color[w] for w in adj[v]))) for v in range(n)]
+        remap = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [remap[s] for s in sigs]
+        if new == color:
+            return color
+        color = new
+
+
 def count_isomorphism_classes(n: int) -> int:
     """Partition all labeled graphs on n vertices into permutation
     orbits and count the orbits. Feasible through n = 6."""

@@ -57,8 +57,7 @@ def best_of(runs: int, fn) -> float:
 @pytest.fixture(scope="module")
 def survey():
     """Fresh single-threaded exhaustive run over n = 1..8."""
-    enumeration._LEVEL_CACHE.clear()
-    enumeration._LEVEL_CACHE[1] = [b"@"]
+    enumeration.clear_level_cache()
     start = time.perf_counter()
     summaries = {n: verify_section_3(n) for n in range(1, 9)}
     elapsed = time.perf_counter() - start

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -11,14 +12,63 @@ from cdgraph import (
     canonical_form,
     complete_graph,
     decode_graph6,
+    direct_product,
+    encode_graph6,
     enumerate_nonisomorphic,
     is_isomorphic,
 )
-from conftest import cycle_graph, graph_from_mask, graphs, path_graph
+from cdgraph.canonical import refined_colors
+from cdgraph.formats import graph6_bytes_from_rows
+from conftest import cycle_graph, disjoint_union, graph_from_mask, graphs, path_graph
 
 
 def permuted(g: Graph, perm: list[int]) -> Graph:
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def random_graph(rng: random.Random, n: int, p: float) -> Graph:
+    return Graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+
+
+def circulant(n: int, offsets: list[int]) -> Graph:
+    return Graph(n, [(v, (v + s) % n) for v in range(n) for s in offsets])
+
+
+def blow_up(base: Graph, sizes: list[int], cliques: list[bool]) -> Graph:
+    """Replace vertex v of ``base`` by ``sizes[v]`` twins, adjacent to
+    each other when ``cliques[v]``."""
+    starts = [sum(sizes[:v]) for v in range(base.n)]
+    blobs = [range(starts[v], starts[v] + sizes[v]) for v in range(base.n)]
+    edges = [
+        pair for v in range(base.n) if cliques[v] for pair in combinations(blobs[v], 2)
+    ]
+    edges += [(a, b) for u, v in base.edges() for a in blobs[u] for b in blobs[v]]
+    return Graph(sum(sizes), edges)
+
+
+@st.composite
+def refinement_inputs(draw) -> Graph:
+    """Graphs up to n = 62 of the shapes refinement meets: random,
+    regular (unions of circulants of one degree), joins, and blow-ups
+    full of twins."""
+    kind = draw(st.sampled_from(("random", "regular", "join", "twins")))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "random":
+        return random_graph(rng, rng.randint(1, 62), rng.random())
+    if kind == "regular":
+        k = rng.randint(1, 3)
+        parts = [
+            circulant(m, rng.sample(range(1, (m - 1) // 2 + 1), k))
+            for m in (rng.randint(2 * k + 1, 31), rng.randint(2 * k + 1, 31))
+        ]
+        return disjoint_union(*parts)
+    if kind == "join":
+        a = random_graph(rng, rng.randint(1, 40), rng.random())
+        b = random_graph(rng, rng.randint(1, 22), rng.random())
+        return direct_product(a, b)
+    base = random_graph(rng, rng.randint(1, 10), rng.random())
+    sizes = [rng.randint(1, 6) for _ in range(base.n)]
+    return blow_up(base, sizes, [rng.random() < 0.5 for _ in range(base.n)])
 
 
 class TestIsomorphism:
@@ -115,3 +165,34 @@ class TestCanonicalExactness:
                 rng.shuffle(perm)
                 assert canonical_form(permuted(g, perm)) == form
         assert not is_isomorphic(q3, k44)
+
+
+class TestByteIdentity:
+    """Pins the canonical forms to the bytes of the sorted-neighbor-tuple
+    refinement and the per-bit graph6 packer that count-based refinement
+    and one-integer packing replaced."""
+
+    @given(refinement_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_refined_colors_match_sorted_tuple_reference(self, g):
+        expected = oracles.refined_colors_by_sorted_neighbors(g.n, g.edges())
+        assert refined_colors(g.n, g.adjacency_masks) == expected
+
+    @pytest.mark.parametrize("n", [2, 13, 62])  # 13 vertices: 78 bits, whole 6-bit groups
+    def test_rows_packing_matches_encoder(self, n):
+        rng = random.Random(n)
+        for _ in range(20):
+            rows = [rng.getrandbits(j) for j in range(1, n)]
+            edges = [
+                (i, j) for j in range(1, n) for i in range(j) if rows[j - 1] >> (j - 1 - i) & 1
+            ]
+            data = graph6_bytes_from_rows(n, rows)
+            assert data == encode_graph6(Graph(n, edges))
+            assert decode_graph6(data) == Graph(n, edges)
+
+    def test_n7_forms_digest(self):
+        # sha256 of the 1,044 sorted n = 7 forms joined by newlines, as
+        # computed with the sorted-neighbor-tuple refinement.
+        forms = sorted(canonical_form(g) for g in enumerate_nonisomorphic(7))
+        digest = hashlib.sha256(b"\n".join(forms)).hexdigest()
+        assert digest == "cf43d74eea2e83dd129ee163ab4ba9c0f95efd52978be61a3b45e8d9557307a0"

@@ -55,15 +55,26 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", str(path))
         assert code == 1 and "Theorem 2.3" in out
 
-    def test_edgelist_input_beyond_graph6_range(self, capsys, tmp_path):
-        # The battery itself has no 62-vertex cap; only graph6 does.
+    def test_edgelist_header_beyond_graph6_range_exits_2(self, capsys, tmp_path):
         from cdgraph import complete_graph
         from cdgraph.formats import encode_edgelist
 
         path = tmp_path / "big.txt"
-        path.write_text(encode_edgelist(complete_graph(70)))
-        code, out, _ = run_cli(capsys, "check", str(path))
-        assert code == 0 and "admissible" in out
+        path.write_text(encode_edgelist(complete_graph(63)))
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert code == 2 and out == "" and "n <= 62" in err
+
+    def test_huge_edgelist_header_on_stdin_exits_2_without_a_graph(self, capsys, monkeypatch):
+        # A 10-byte header must be refused before any Graph is sized by it.
+        import io
+
+        def no_graph(n, edges=()):
+            raise AssertionError(f"Graph({n}) built from an out-of-range header")
+
+        monkeypatch.setattr("cdgraph.formats.Graph", no_graph)
+        monkeypatch.setattr("sys.stdin", io.StringIO("1000000000"))
+        code, out, err = run_cli(capsys, "check", "-")
+        assert code == 2 and out == "" and "n <= 62" in err
 
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "check", "--g6", "zz")

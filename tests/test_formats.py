@@ -113,6 +113,11 @@ class TestEdgeList:
         with pytest.raises(ValueError):
             decode_edgelist("\n\n")
 
+    def test_header_bounded_by_graph6_range(self):
+        assert decode_edgelist("62\n0 61\n").n == 62
+        with pytest.raises(ValueError, match="n <= 62"):
+            decode_edgelist("63\n0 1\n")
+
     def test_out_of_range_edge_propagates(self):
         with pytest.raises(ValueError):
             decode_edgelist("2\n0 5\n")
