@@ -157,8 +157,10 @@ def check_diameter_bound(g: Graph) -> CheckResult:
     """Every component has diameter <= 3; witness is a pair at distance > 3."""
     for v in range(g.n):
         dist = gr.bfs_distances(g, v)
+        if max(dist) <= 3:
+            continue
         for u in range(v + 1, g.n):
-            if dist[u] != gr.INFINITY and dist[u] > 3:
+            if 3 < dist[u] < gr.INFINITY:
                 return _result("diameter-bound", FAIL, [v, u, dist[u]])
     return _result("diameter-bound", PASS)
 

@@ -26,7 +26,13 @@ from .enumeration import (
     enumerate_nonisomorphic,
     verify_section_3,
 )
-from .formats import decode_edgelist, decode_graph6, encode_edgelist, encode_graph6
+from .formats import (
+    GRAPH6_MAX_N,
+    decode_edgelist,
+    decode_graph6,
+    encode_edgelist,
+    encode_graph6,
+)
 from .graph import Graph
 
 
@@ -110,8 +116,16 @@ def _cmd_lewis(args: argparse.Namespace) -> int:
     return 0
 
 
+def _require_graph6_size(n: int) -> None:
+    # Refuse before anything is sized by n: every emitted graph must fit
+    # the graph6 header, and n = 10**9 must not allocate 10**9 masks.
+    if n > GRAPH6_MAX_N:
+        raise ValueError(f"vertex count {n} exceeds the n <= {GRAPH6_MAX_N} graph6 limit")
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
     if args.kind == "complete":
+        _require_graph6_size(args.n)
         g = complete_graph(args.n)
     elif args.kind == "figure2":
         g = figure2_graph()
@@ -122,6 +136,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
+    _require_graph6_size(args.n)
     _emit_graph(odd_family(args.n), args.emit)
     return 0
 

@@ -4,6 +4,13 @@ Adjacency is stored as one bitmask per vertex, so the structural
 predicates used by the solvable-group checks (degrees, distances,
 components, blocks) are single-word operations for the graph orders
 this package targets.
+
+Distances and blocks are computed at most once per ``Graph`` and cached
+on it: each BFS distance row is filled the first time some function
+asks for it, and the block decomposition the first time cut vertices or
+blocks are asked for. The battery, the Lewis partitions and the theorem
+verdicts all read the same cached structure. The caches never enter
+``==`` or ``hash``.
 """
 
 from __future__ import annotations
@@ -27,10 +34,13 @@ class Graph:
     """Simple undirected graph: no self-loops, no multi-edges, labels 0..n-1.
 
     Instances are immutable after construction and hashable, so they are
-    safe to share across workers and to use as cache keys.
+    safe to share across workers and to use as cache keys. The private
+    ``_dist`` and ``_blocks`` slots are lazily filled caches of derived
+    structure (see the module docstring); equality and hashing ignore
+    them.
     """
 
-    __slots__ = ("n", "_adj")
+    __slots__ = ("n", "_adj", "_dist", "_blocks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
@@ -45,6 +55,8 @@ class Graph:
             adj[v] |= 1 << u
         self.n: int = n
         self._adj: tuple[int, ...] = tuple(adj)
+        self._dist: list[tuple[int | float, ...] | None] | None = None
+        self._blocks: BlockDecomposition | None = None
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "Graph":
@@ -52,6 +64,8 @@ class Graph:
         g = object.__new__(cls)
         g.n = n
         g._adj = tuple(masks)
+        g._dist = None
+        g._blocks = None
         return g
 
     @property
@@ -142,35 +156,73 @@ def is_connected(g: Graph) -> bool:
     return _reachable_mask(g._adj, 0) == (1 << g.n) - 1
 
 
+def _distance_row(g: Graph, source: int) -> tuple[int | float, ...]:
+    """Cached BFS distances from ``source`` (unchecked; callers validate)."""
+    rows = g._dist
+    if rows is None:
+        rows = g._dist = [None] * g.n
+    row = rows[source]
+    if row is None:
+        row = rows[source] = _bfs_row(g._adj, g.n, source)
+    return row
+
+
+def _bfs_row(adj: tuple[int, ...], n: int, source: int) -> tuple[int | float, ...]:
+    # Direction-optimizing BFS (Beamer, Asanovic and Patterson, SC 2012):
+    # expand the frontier top-down while it is the smaller side, else let
+    # each unseen vertex look for a frontier neighbor. On the dense
+    # graphs the battery sees, the frontier after one step is most of
+    # the graph and the unseen side is a handful of vertices.
+    dist: list[int | float] = [INFINITY] * n
+    dist[source] = 0
+    unseen = ((1 << n) - 1) ^ (1 << source)
+    frontier = 1 << source
+    d = 0
+    while frontier and unseen:
+        nxt = 0
+        if frontier.bit_count() <= unseen.bit_count():
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
+            nxt &= unseen
+        else:
+            rest = unseen
+            while rest:
+                low = rest & -rest
+                if adj[low.bit_length() - 1] & frontier:
+                    nxt |= low
+                rest ^= low
+        unseen ^= nxt
+        frontier = nxt
+        d += 1
+        while nxt:
+            low = nxt & -nxt
+            dist[low.bit_length() - 1] = d
+            nxt ^= low
+    return tuple(dist)
+
+
 def bfs_distances(g: Graph, source: int) -> list[int | float]:
-    """Shortest-path distances from ``source``; unreachable -> inf."""
+    """Shortest-path distances from ``source``; unreachable -> inf.
+
+    The list is a fresh copy of the graph's cached row, so callers may
+    mutate it.
+    """
     if not 0 <= source < g.n:
         raise ValueError(f"vertex {source} out of range 0..{g.n - 1}")
-    dist: list[int | float] = [INFINITY] * g.n
-    dist[source] = 0
-    seen = 1 << source
-    frontier = seen
-    d = 0
-    adj = g._adj
-    while frontier:
-        grown = 0
-        for v in _bits(frontier):
-            grown |= adj[v]
-        frontier = grown & ~seen
-        seen |= frontier
-        d += 1
-        for v in _bits(frontier):
-            dist[v] = d
-    return dist
+    return list(_distance_row(g, source))
 
 
 def distance_matrix(g: Graph) -> list[list[int | float]]:
     """Pairwise shortest-path distances; inf across components."""
-    return [bfs_distances(g, v) for v in range(g.n)]
+    return [list(_distance_row(g, v)) for v in range(g.n)]
 
 
 def eccentricity(g: Graph, v: int) -> int | float:
-    return max(bfs_distances(g, v))
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")
+    return max(_distance_row(g, v))
 
 
 def diameter(g: Graph) -> int | float:
@@ -178,7 +230,7 @@ def diameter(g: Graph) -> int | float:
     _require_vertices(g, "diameter")
     if not is_connected(g):
         return INFINITY
-    return max(eccentricity(g, v) for v in range(g.n))
+    return max(max(_distance_row(g, v)) for v in range(g.n))
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -238,65 +290,72 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
 
     Every edge lies in exactly one block; isolated vertices form
     singleton blocks. Blocks are returned sorted by vertex content.
+    Computed once per graph and cached on it.
     """
-    n = g.n
-    adj = g._adj
-    disc = [-1] * n
+    if g._blocks is None:
+        g._blocks = _decompose(g.n, g._adj)
+    return g._blocks
+
+
+def _decompose(n: int, adj: tuple[int, ...]) -> BlockDecomposition:
+    # Iterative DFS with a vertex stack. When a vertex w is discovered,
+    # its discovered neighbors are exactly its ancestors, so its back
+    # edges are settled at once: low[w] starts at the discovery time of
+    # the shallowest ancestor adjacent to w other than its parent.
+    disc = [0] * n
     low = [0] * n
     blocks: list[frozenset[int]] = []
     cuts: set[int] = set()
     timer = 0
-    edge_stack: list[tuple[int, int]] = []
+    discovered = 0
 
     for root in range(n):
-        if disc[root] != -1:
+        if discovered >> root & 1:
             continue
+        discovered |= 1 << root
         if adj[root] == 0:
-            disc[root] = timer
-            timer += 1
             blocks.append(frozenset((root,)))
             continue
         disc[root] = low[root] = timer
         timer += 1
         root_children = 0
-        stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, _bits(adj[root]))]
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == parent:
-                    continue
-                if disc[w] == -1:
-                    edge_stack.append((v, w))
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    if v == root:
-                        root_children += 1
-                    stack.append((w, v, _bits(adj[w])))
-                    advanced = True
-                    break
-                if disc[w] < disc[v]:
-                    edge_stack.append((v, w))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if low[v] >= disc[u]:
-                    if u != root:
-                        cuts.add(u)
-                    members: set[int] = set()
-                    while True:
-                        e = edge_stack.pop()
-                        members.add(e[0])
-                        members.add(e[1])
-                        if e == (u, v):
+        path = [root]  # the DFS stack: root down to the current vertex
+        pending: list[int] = []  # discovered vertices not yet in a block
+        while path:
+            v = path[-1]
+            fresh = adj[v] & ~discovered
+            if fresh:
+                low_bit = fresh & -fresh
+                w = low_bit.bit_length() - 1
+                disc[w] = low[w] = timer
+                timer += 1
+                if adj[w] & discovered & ~(1 << v):
+                    for a in path:
+                        if adj[w] >> a & 1:
+                            low[w] = disc[a]
                             break
-                    blocks.append(frozenset(members))
+                discovered |= low_bit
+                if v == root:
+                    root_children += 1
+                path.append(w)
+                pending.append(w)
+                continue
+            path.pop()
+            if not path:
+                break
+            u = path[-1]
+            if low[v] < low[u]:
+                low[u] = low[v]
+            if low[v] >= disc[u]:
+                if u != root:
+                    cuts.add(u)
+                members = {u}
+                while True:
+                    x = pending.pop()
+                    members.add(x)
+                    if x == v:
+                        break
+                blocks.append(frozenset(members))
         if root_children >= 2:
             cuts.add(root)
 

@@ -12,7 +12,9 @@ On a genuine solvable-group degree graph, rho1+rho2 and rho3+rho4
 induce complete subgraphs, rho1 has no edge into rho3+rho4, rho4 none
 into rho1+rho2, and rho2/rho3 are mutually linked. ``validate_partition``
 re-checks all five properties with witnesses, since arbitrary inputs
-need not satisfy them.
+need not satisfy them. Partitions are read off the graph's cached BFS
+rows, and each property is tested with one adjacency-mask operation per
+vertex.
 
 Theorem checks on graphs that pass the necessary-condition battery but
 are not genuine degree graphs may legitimately fail; such outcomes are
@@ -22,9 +24,10 @@ verdicts ("discrepancy"), never exceptions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 from . import graph as gr
+from .checks import NOT_APPLICABLE, PASS
 from .constructions import complete_graph
 from .graph import Graph, _bits
 
@@ -35,10 +38,8 @@ EULERIAN_HAMILTONIAN = "hamiltonian"
 
 EULERIAN_MODES = (EULERIAN_STANDARD, EULERIAN_EVEN_ONLY, EULERIAN_HAMILTONIAN)
 
-PASS = "pass"
 VACUOUS_PASS = "vacuous-pass"
 DISCREPANCY = "discrepancy"
-NOT_APPLICABLE = "not-applicable"
 
 
 @dataclass(frozen=True)
@@ -102,10 +103,6 @@ class OddDegreeVerdict:
     eulerian_mode: str
     characterization_holds: bool
 
-    @property
-    def conditions_hold(self) -> bool:
-        return self.is_block and self.rho12_even and self.rho34_even and self.rho23_eulerian
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "is_all_odd": self.is_all_odd,
@@ -124,10 +121,6 @@ class TheoremVerdict:
     verdict: str
     details: tuple[tuple[str, Any], ...] = ()
 
-    @property
-    def holds(self) -> bool:
-        return self.verdict in (PASS, VACUOUS_PASS)
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "theorem": self.theorem,
@@ -142,60 +135,70 @@ def lewis_partition(g: Graph, r: int) -> LewisPartition | None:
     if not 0 <= r < g.n:
         raise ValueError(f"vertex {r} out of range 0..{g.n - 1}")
     dist = gr.bfs_distances(g, r)
-    if any(d == gr.INFINITY for d in dist) or max(dist) != 3:
+    if max(dist) != 3:  # an unreachable vertex makes the maximum inf
         return None
-    rho3 = frozenset(v for v, d in enumerate(dist) if d == 2)
-    rho4 = frozenset(v for v, d in enumerate(dist) if d == 3)
-    rho3_mask = 0
-    for v in rho3:
-        rho3_mask |= 1 << v
-    neighbors = frozenset(_bits(g.adjacency_masks[r]))
-    rho2 = frozenset(v for v in neighbors if g.adjacency_masks[v] & rho3_mask)
-    rho1 = frozenset({r}) | (neighbors - rho2)
-    return LewisPartition(r, min(rho4), rho1, rho2, rho3, rho4)
+    by_distance: tuple[list[int], ...] = ([], [], [], [])
+    for v, d in enumerate(dist):
+        by_distance[d].append(v)
+    _, neighbors, rho3, rho4 = by_distance
+    adj = g.adjacency_masks
+    rho3_mask = _mask(rho3)
+    rho2 = [v for v in neighbors if adj[v] & rho3_mask]
+    rho1 = [r] + [v for v in neighbors if not adj[v] & rho3_mask]
+    return LewisPartition(
+        r, rho4[0], frozenset(rho1), frozenset(rho2), frozenset(rho3), frozenset(rho4)
+    )
+
+
+def _mask(vertices: Iterable[int]) -> int:
+    """Bitmask of distinct vertices (their single bits sum to the union)."""
+    return sum(map((1).__lshift__, vertices))
+
+
+def _low(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
 def validate_partition(g: Graph, p: LewisPartition) -> PartitionValidity:
-    """Evaluate the five structural properties, each with a witness on failure."""
+    """Evaluate the five structural properties, each with a witness on failure.
+
+    Each property tests one adjacency mask per vertex against the mask
+    of the set it must (or must not) reach, in sorted vertex order, so
+    the witness is the first offending pair (or vertex).
+    """
     adj = g.adjacency_masks
+    rho1, rho2, rho3, rho4 = _mask(p.rho1), _mask(p.rho2), _mask(p.rho3), _mask(p.rho4)
     witnesses: list[tuple[str, Any]] = []
 
-    def complete_within(vertices: frozenset[int], flag: str) -> bool:
-        members = sorted(vertices)
-        for i, u in enumerate(members):
-            for v in members[i + 1 :]:
-                if not adj[u] >> v & 1:
-                    witnesses.append((flag, [u, v]))
-                    return False
-        return True
-
-    def no_edges_between(a: frozenset[int], b: frozenset[int], flag: str) -> bool:
-        for u in sorted(a):
-            for v in sorted(b):
-                if adj[u] >> v & 1:
-                    witnesses.append((flag, [u, v]))
-                    return False
-        return True
-
-    def mutually_linked() -> bool:
-        rho3_mask = sum(1 << v for v in p.rho3)
-        rho2_mask = sum(1 << v for v in p.rho2)
-        for u in sorted(p.rho2):
-            if not adj[u] & rho3_mask:
-                witnesses.append(("rho2_rho3_mutual_adjacency", u))
+    def complete_within(vertices: frozenset[int], members: int, flag: str) -> bool:
+        for u in sorted(vertices):
+            missing = members & ~adj[u] & ~((2 << u) - 1)  # non-neighbors above u
+            if missing:
+                witnesses.append((flag, [u, _low(missing)]))
                 return False
-        for v in sorted(p.rho3):
-            if not adj[v] & rho2_mask:
-                witnesses.append(("rho2_rho3_mutual_adjacency", v))
+        return True
+
+    def no_edges_between(a: frozenset[int], targets: int, flag: str) -> bool:
+        for u in sorted(a):
+            hit = adj[u] & targets
+            if hit:
+                witnesses.append((flag, [u, _low(hit)]))
+                return False
+        return True
+
+    def each_linked(a: frozenset[int], targets: int) -> bool:
+        for u in sorted(a):
+            if not adj[u] & targets:
+                witnesses.append(("rho2_rho3_mutual_adjacency", u))
                 return False
         return True
 
     return PartitionValidity(
-        rho12_complete=complete_within(p.rho1 | p.rho2, "rho12_complete"),
-        rho34_complete=complete_within(p.rho3 | p.rho4, "rho34_complete"),
-        no_rho1_to_rho34_edges=no_edges_between(p.rho1, p.rho3 | p.rho4, "no_rho1_to_rho34_edges"),
-        no_rho4_to_rho12_edges=no_edges_between(p.rho4, p.rho1 | p.rho2, "no_rho4_to_rho12_edges"),
-        rho2_rho3_mutual_adjacency=mutually_linked(),
+        rho12_complete=complete_within(p.rho1 | p.rho2, rho1 | rho2, "rho12_complete"),
+        rho34_complete=complete_within(p.rho3 | p.rho4, rho3 | rho4, "rho34_complete"),
+        no_rho1_to_rho34_edges=no_edges_between(p.rho1, rho3 | rho4, "no_rho1_to_rho34_edges"),
+        no_rho4_to_rho12_edges=no_edges_between(p.rho4, rho1 | rho2, "no_rho4_to_rho12_edges"),
+        rho2_rho3_mutual_adjacency=each_linked(p.rho2, rho3) and each_linked(p.rho3, rho2),
         witnesses=tuple(witnesses),
     )
 
@@ -209,9 +212,10 @@ def enumerate_lewis_partitions(g: Graph) -> list[tuple[int, LewisPartition, Part
         return []
     out = []
     for r in range(g.n):
+        if gr.eccentricity(g, r) != 3:
+            continue
         p = lewis_partition(g, r)
-        if p is not None:
-            out.append((r, p, validate_partition(g, p)))
+        out.append((r, p, validate_partition(g, p)))
     return out
 
 
@@ -279,6 +283,10 @@ def check_theorem_3_2(g: Graph, p: LewisPartition, eulerian_mode: str = EULERIAN
     validity = validate_partition(g, p)
     if not validity.valid:
         raise ValueError(f"partition is not valid: {dict(validity.witnesses)}")
+    return _theorem_3_2(g, p, eulerian_mode)
+
+
+def _theorem_3_2(g: Graph, p: LewisPartition, eulerian_mode: str) -> OddDegreeVerdict:
     is_all_odd = gr.all_degrees_odd(g)
     is_block = gr.is_block(g)
     rho12_even = len(p.rho1 | p.rho2) % 2 == 0
@@ -320,11 +328,20 @@ def check_theorem_3_3(g: Graph) -> TheoremVerdict:
     )
 
 
+def _on_hypotheses(g: Graph, p: LewisPartition) -> bool:
+    """Connected, diameter 3, and ``p`` validates: what 2.5 and 2.7 assume."""
+    return gr.is_connected(g) and gr.diameter(g) == 3 and validate_partition(g, p).valid
+
+
 def check_theorem_2_5(g: Graph, p: LewisPartition) -> TheoremVerdict:
     """Exactly one cut vertex <=> |rho2| = 1, and then the cut vertex is
     the rho2 member. Not applicable off the diameter-3 valid-partition
     hypotheses."""
-    if not gr.is_connected(g) or gr.diameter(g) != 3 or not validate_partition(g, p).valid:
+    return _theorem_2_5(g, p, _on_hypotheses(g, p))
+
+
+def _theorem_2_5(g: Graph, p: LewisPartition, applicable: bool) -> TheoremVerdict:
+    if not applicable:
         return TheoremVerdict("2.5", NOT_APPLICABLE)
     cuts = sorted(gr.cut_vertices(g))
     rho2 = sorted(p.rho2)
@@ -338,7 +355,11 @@ def check_theorem_2_5(g: Graph, p: LewisPartition) -> TheoremVerdict:
 
 def check_theorem_2_7(g: Graph, p: LewisPartition) -> TheoremVerdict:
     """Block <=> both |rho2| >= 2 and |rho3| >= 2."""
-    if not gr.is_connected(g) or gr.diameter(g) != 3 or not validate_partition(g, p).valid:
+    return _theorem_2_7(g, p, _on_hypotheses(g, p))
+
+
+def _theorem_2_7(g: Graph, p: LewisPartition, applicable: bool) -> TheoremVerdict:
+    if not applicable:
         return TheoremVerdict("2.7", NOT_APPLICABLE)
     block = gr.is_block(g)
     sizes_ok = len(p.rho2) >= 2 and len(p.rho3) >= 2
@@ -369,7 +390,8 @@ def check_regular_odd(g: Graph) -> TheoremVerdict:
 
 def partition_report(g: Graph, eulerian_mode: str = EULERIAN_STANDARD) -> dict[str, Any]:
     """JSON-ready report for the canonical (smallest eccentricity-3 r)
-    partition, plus validity of every base-vertex choice."""
+    partition, plus validity of every base-vertex choice. The partition
+    is validated once; the theorem verdicts reuse that validity."""
     entries = enumerate_lewis_partitions(g)
     if not entries:
         return {
@@ -384,11 +406,11 @@ def partition_report(g: Graph, eulerian_mode: str = EULERIAN_STANDARD) -> dict[s
         "base_vertices": [{"r": r, "valid": val.valid} for r, _, val in entries],
     }
     theorems: dict[str, Any] = {
-        "2.5": check_theorem_2_5(g, p).to_dict(),
-        "2.7": check_theorem_2_7(g, p).to_dict(),
+        "2.5": _theorem_2_5(g, p, validity.valid).to_dict(),
+        "2.7": _theorem_2_7(g, p, validity.valid).to_dict(),
     }
     if validity.valid:
-        theorems["3.2"] = check_theorem_3_2(g, p, eulerian_mode).to_dict()
+        theorems["3.2"] = _theorem_3_2(g, p, eulerian_mode).to_dict()
     report["theorems"] = theorems
     report["theorem_3_3"] = check_theorem_3_3(g).to_dict()
     return report

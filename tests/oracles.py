@@ -184,3 +184,78 @@ def is_eulerian_by_definition(n: int, edges) -> bool:
     if any(len(adj[v]) % 2 for v in range(n)):
         return False
     return len(components(n, edges)) <= 1
+
+
+LEWIS_FLAGS = (
+    "rho12_complete",
+    "rho34_complete",
+    "no_rho1_to_rho34_edges",
+    "no_rho4_to_rho12_edges",
+    "rho2_rho3_mutual_adjacency",
+)
+
+
+def lewis_partition_by_distance(n: int, edges, r: int):
+    """(rho1, rho2, rho3, rho4) from base vertex r by the distance rules,
+    or None unless every vertex is reached and the farthest is at 3."""
+    dist = distances(n, edges, r)
+    if max(dist) != 3:
+        return None
+    adj = adjacency(n, edges)
+    rho3 = {v for v in range(n) if dist[v] == 2}
+    rho4 = {v for v in range(n) if dist[v] == 3}
+    rho2 = {v for v in adj[r] if adj[v] & rho3}
+    rho1 = {r} | (adj[r] - rho2)
+    return rho1, rho2, rho3, rho4
+
+
+def validate_partition_pairwise(n: int, edges, rho1, rho2, rho3, rho4):
+    """Lewis-partition validation by testing one vertex pair at a time in
+    sorted order, so the first failing pair is plainly the witness; the
+    package's mask-based validation must agree with it exactly. Returns
+    the five flags, in ``LEWIS_FLAGS`` order, and the ``(flag, witness)``
+    pairs of the failing ones."""
+    adj = adjacency(n, edges)
+    witnesses = []
+
+    def complete_within(vertices, flag):
+        members = sorted(vertices)
+        for i, u in enumerate(members):
+            for v in members[i + 1 :]:
+                if v not in adj[u]:
+                    witnesses.append((flag, [u, v]))
+                    return False
+        return True
+
+    def no_edges_between(a, b, flag):
+        for u in sorted(a):
+            for v in sorted(b):
+                if v in adj[u]:
+                    witnesses.append((flag, [u, v]))
+                    return False
+        return True
+
+    def mutually_linked():
+        for u in sorted(rho2):
+            if not adj[u] & set(rho3):
+                witnesses.append(("rho2_rho3_mutual_adjacency", u))
+                return False
+        for v in sorted(rho3):
+            if not adj[v] & set(rho2):
+                witnesses.append(("rho2_rho3_mutual_adjacency", v))
+                return False
+        return True
+
+    flags = (
+        complete_within(set(rho1) | set(rho2), "rho12_complete"),
+        complete_within(set(rho3) | set(rho4), "rho34_complete"),
+        no_edges_between(rho1, set(rho3) | set(rho4), "no_rho1_to_rho34_edges"),
+        no_edges_between(rho4, set(rho1) | set(rho2), "no_rho4_to_rho12_edges"),
+        mutually_linked(),
+    )
+    return flags, tuple(witnesses)
+
+
+def diameter_by_bfs(n: int, edges) -> float:
+    """Largest pairwise distance; inf when disconnected."""
+    return max(max(distances(n, edges, v)) for v in range(n))

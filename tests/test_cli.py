@@ -153,6 +153,35 @@ class TestConstructAndFamily:
         code, _, err = run_cli(capsys, "construct", "complete", "0")
         assert code == 2
 
+    def test_construct_complete_at_graph6_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "construct", "complete", "62")
+        assert code == 0 and out.startswith("}")  # header byte 62 + 63
+
+    @pytest.mark.parametrize("n", ["63", "1000000000"])
+    def test_construct_complete_beyond_graph6_limit_exits_2(self, capsys, monkeypatch, n):
+        # Refused before any graph is built: a billion masks must never be sized.
+        def no_graph(n):
+            raise AssertionError(f"complete_graph({n}) built beyond the limit")
+
+        monkeypatch.setattr("cdgraph.cli.complete_graph", no_graph)
+        code, out, err = run_cli(capsys, "construct", "complete", n)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "n <= 62" in err
+
+    @pytest.mark.parametrize("n", ["63", "64", "1000000000"])
+    def test_family_beyond_graph6_limit_exits_2(self, capsys, monkeypatch, n):
+        def no_graph(n):
+            raise AssertionError(f"odd_family({n}) built beyond the limit")
+
+        monkeypatch.setattr("cdgraph.cli.odd_family", no_graph)
+        code, out, err = run_cli(capsys, "family", "--n", n)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "n <= 62" in err
+
+    def test_family_at_graph6_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "family", "--n", "62")
+        assert code == 0 and out.startswith("}")
+
 
 class TestEnumerate:
     def test_summary_n5(self, capsys):

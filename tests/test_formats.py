@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdgraph import (
     Graph,
@@ -121,3 +122,62 @@ class TestEdgeList:
     def test_out_of_range_edge_propagates(self):
         with pytest.raises(ValueError):
             decode_edgelist("2\n0 5\n")
+
+
+def decodes_or_refuses(decode, data) -> None:
+    """A decoder either returns a graph within the graph6 range or
+    raises ValueError (Graph6ParseError included); nothing else."""
+    try:
+        g = decode(data)
+    except ValueError:
+        return
+    assert isinstance(g, Graph)
+    assert 0 <= g.n <= 62
+
+
+# Graph6 with a valid header byte, so that the body checks are reached.
+headed_graph6 = st.builds(
+    lambda n, body: bytes([n + 63]) + body,
+    st.integers(min_value=0, max_value=62),
+    st.binary(max_size=320),
+)
+
+edgelist_lines = st.one_of(
+    st.builds("{} {}".format, st.integers(-3, 70), st.integers(-3, 70)),
+    st.integers(-(10**12), 10**12).map(str),
+    st.text(max_size=8),
+)
+
+edgelist_texts = st.builds(
+    lambda header, lines, sep: sep.join([header] + lines),
+    st.one_of(st.integers(-3, 70).map(str), st.text(max_size=6)),
+    st.lists(edgelist_lines, max_size=12),
+    st.sampled_from(["\n", "\r\n", "\n\n", " \n"]),
+)
+
+
+class TestDecoderFuzz:
+    @given(st.binary(max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_graph6_arbitrary_bytes(self, data):
+        decodes_or_refuses(decode_graph6, data)
+
+    @given(headed_graph6)
+    @settings(max_examples=300, deadline=None)
+    def test_graph6_bytes_with_valid_header(self, data):
+        decodes_or_refuses(decode_graph6, data)
+
+    @given(st.text(max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_graph6_arbitrary_text(self, text):
+        decodes_or_refuses(decode_graph6, text)
+
+    @given(st.text())
+    @settings(max_examples=200, deadline=None)
+    def test_edgelist_arbitrary_text(self, text):
+        decodes_or_refuses(decode_edgelist, text)
+
+    @given(edgelist_texts)
+    @settings(max_examples=300, deadline=None)
+    def test_edgelist_shaped_text(self, text):
+        decodes_or_refuses(decode_edgelist, text)
