@@ -30,7 +30,6 @@ from .graph import (
     cut_vertices,
     degree_multiset,
     diameter,
-    distance_matrix,
     induced_subgraph,
     is_block,
     is_complete,
@@ -86,7 +85,6 @@ __all__ = [
     "degree_multiset",
     "diameter",
     "direct_product",
-    "distance_matrix",
     "encode_edgelist",
     "encode_graph6",
     "enumerate_admissible",

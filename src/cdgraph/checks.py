@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Any
 
 from . import graph as gr
-from .canonical import canonical_form
 from .formats import encode_graph6
 from .graph import Graph
 
@@ -33,7 +31,7 @@ CITATIONS = {
     "fitting-height": "Theorem 2.6: two nonadjacent vertices of degree < n-2 force Fitting height >= 3",
 }
 
-# Cheap structural checks first, the isomorphism-based check last.
+# Global structural checks first, the exact 4-vertex path test last.
 CHECK_ORDER = (
     "palfy",
     "component-bound",
@@ -189,17 +187,14 @@ def check_regular_rule(g: Graph) -> CheckResult:
     return _result("regular-rule", FAIL, {"degree": k, "required": g.n - 2})
 
 
-_P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
-_P4_FORM = canonical_form(_P4)
-
-
 def check_forbidden_p4(g: Graph) -> CheckResult:
-    """Exact-isomorphism test against the forbidden 4-vertex path.
+    """Exact test for the forbidden 4-vertex path.
 
     This is not a subgraph test: only the whole graph being the 4-path
-    fails. The witness is a vertex order tracing the path.
+    fails. Among 4-vertex graphs, the path is the only one with degrees
+    (2, 2, 1, 1). The witness is a vertex order tracing the path.
     """
-    if g.n != 4 or canonical_form(g) != _P4_FORM:
+    if g.n != 4 or gr.degree_multiset(g) != (2, 2, 1, 1):
         return _result("forbidden-p4", PASS)
     ends = [v for v in range(4) if g.degree(v) == 1]
     path = [ends[0]]
@@ -255,12 +250,3 @@ def run_battery(g: Graph) -> CheckReport:
         label = f"<graph n={g.n} m={g.edge_count}>"  # beyond the graph6 header range
     return CheckReport(label, results, inferences)
 
-
-def independent_triples(g: Graph) -> list[tuple[int, int, int]]:
-    """All independent 3-subsets (used by reports and tests)."""
-    adj = g.adjacency_masks
-    out = []
-    for u, v, w in combinations(range(g.n), 3):
-        if not (adj[u] >> v & 1 or adj[u] >> w & 1 or adj[v] >> w & 1):
-            out.append((u, v, w))
-    return out

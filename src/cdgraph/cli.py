@@ -52,6 +52,9 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_eulerian_option(parser: argparse.ArgumentParser) -> None:
+    # The two parity readings among lewis.RHO23_PREDICATES: "hamiltonian"
+    # is a backtracking search with no bound on inputs of up to 62
+    # vertices, and the linking parity is not an Eulerian reading.
     parser.add_argument(
         "--eulerian",
         choices=(lewis.EULERIAN_STANDARD, lewis.EULERIAN_EVEN_ONLY),
@@ -130,7 +133,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     elif args.kind == "figure2":
         g = figure2_graph()
     else:
-        g = direct_product(decode_graph6(args.a.strip()), decode_graph6(args.b.strip()))
+        a, b = decode_graph6(args.a.strip()), decode_graph6(args.b.strip())
+        _require_graph6_size(a.n + b.n)
+        g = direct_product(a, b)
     _emit_graph(g, args.emit)
     return 0
 

@@ -69,14 +69,6 @@ def enumerate_admissible(n: int) -> Iterator[tuple[Graph, CheckReport]]:
             yield g, report
 
 
-# rho2/rho3 linking parity: every rho2 vertex with an even number of
-# rho3 neighbors and vice versa. Not an Eulerian reading, but the
-# condition the survey identifies as completing the characterization.
-EVEN_CROSS = "even-cross-degrees"
-
-SURVEY_PREDICATES = lewis.EULERIAN_MODES + (EVEN_CROSS,)
-
-
 @dataclass(frozen=True)
 class EnumerationSummary:
     n: int
@@ -120,8 +112,8 @@ def verify_section_3(n: int) -> EnumerationSummary:
 
     Checks the block theorem (all-odd implies block, connected scope),
     the regular theorem (regular non-complete is never all-odd), and the
-    diameter-3 characterization under every survey predicate on each
-    graph's first valid partition.
+    diameter-3 characterization under every rho2/rho3 predicate of
+    ``lewis.RHO23_PREDICATES`` on each graph's first valid partition.
     """
     total = 0
     admissible = 0
@@ -130,7 +122,7 @@ def verify_section_3(n: int) -> EnumerationSummary:
     t33_discrepancies: list[str] = []
     t33_not_applicable: list[str] = []
     regular_discrepancies: list[str] = []
-    t32_discrepancies: dict[str, list[str]] = {mode: [] for mode in SURVEY_PREDICATES}
+    t32_discrepancies: dict[str, list[str]] = {mode: [] for mode in lewis.RHO23_PREDICATES}
     surveyed = 0
     no_valid_partition: list[str] = []
 
@@ -163,18 +155,10 @@ def verify_section_3(n: int) -> EnumerationSummary:
             else:
                 partition, _ = found
                 surveyed += 1
-                for mode in lewis.EULERIAN_MODES:
+                for mode in lewis.RHO23_PREDICATES:
                     verdict = lewis.check_theorem_3_2(g, partition, mode)
                     if not verdict.characterization_holds:
                         t32_discrepancies[mode].append(g6)
-                conditions = (
-                    gr.is_block(g)
-                    and len(partition.rho1 | partition.rho2) % 2 == 0
-                    and len(partition.rho3 | partition.rho4) % 2 == 0
-                    and lewis.even_cross_degrees(g, partition)
-                )
-                if all_odd != conditions:
-                    t32_discrepancies[EVEN_CROSS].append(g6)
 
     notes: list[str] = []
     if n == 6:

@@ -214,11 +214,6 @@ def bfs_distances(g: Graph, source: int) -> list[int | float]:
     return list(_distance_row(g, source))
 
 
-def distance_matrix(g: Graph) -> list[list[int | float]]:
-    """Pairwise shortest-path distances; inf across components."""
-    return [list(_distance_row(g, v)) for v in range(g.n)]
-
-
 def eccentricity(g: Graph, v: int) -> int | float:
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")

@@ -24,7 +24,8 @@ verdicts ("discrepancy"), never exceptions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Mapping
 
 from . import graph as gr
 from .checks import NOT_APPLICABLE, PASS
@@ -35,8 +36,6 @@ EULERIAN_STANDARD = "standard"
 EULERIAN_EVEN_ONLY = "even-only"
 # Literal reading of "contains a cycle containing all vertices".
 EULERIAN_HAMILTONIAN = "hamiltonian"
-
-EULERIAN_MODES = (EULERIAN_STANDARD, EULERIAN_EVEN_ONLY, EULERIAN_HAMILTONIAN)
 
 VACUOUS_PASS = "vacuous-pass"
 DISCREPANCY = "discrepancy"
@@ -251,34 +250,44 @@ def rho23_subgraph(g: Graph, p: LewisPartition) -> Graph:
     return sub
 
 
-def rho23_predicate(g: Graph, p: LewisPartition, mode: str) -> bool:
-    sub = rho23_subgraph(g, p)
-    if mode == EULERIAN_STANDARD:
-        return gr.is_eulerian(sub)
-    if mode == EULERIAN_EVEN_ONLY:
-        return gr.all_degrees_even(sub)
-    if mode == EULERIAN_HAMILTONIAN:
-        return _has_hamiltonian_cycle(sub)
-    raise ValueError(f"unknown Eulerian mode {mode!r}")
-
-
 def even_cross_degrees(g: Graph, p: LewisPartition) -> bool:
     """Every rho2 vertex has an even number of rho3 neighbors and vice
-    versa (the linking-parity condition; see the enumeration survey)."""
+    versa (the linking-parity condition)."""
     adj = g.adjacency_masks
-    rho2_mask = sum(1 << v for v in p.rho2)
-    rho3_mask = sum(1 << v for v in p.rho3)
-    return all((adj[u] & rho3_mask).bit_count() % 2 == 0 for u in p.rho2) and all(
-        (adj[v] & rho2_mask).bit_count() % 2 == 0 for v in p.rho3
+    rho2, rho3 = _mask(p.rho2), _mask(p.rho3)
+    return all((adj[u] & rho3).bit_count() % 2 == 0 for u in p.rho2) and all(
+        (adj[v] & rho2).bit_count() % 2 == 0 for v in p.rho3
     )
+
+
+# Every reading of Theorem 3.2's rho2/rho3 condition, by name, in the
+# order reports list them. The last is not an Eulerian reading but the
+# linking parity, the only entry with no discrepancy in the exhaustive
+# survey. Entries look their functions up at call time, so a
+# wrapper installed on a module attribute sees every call.
+RHO23_PREDICATES: Mapping[str, Callable[[Graph, LewisPartition], bool]] = MappingProxyType(
+    {
+        EULERIAN_STANDARD: lambda g, p: gr.is_eulerian(rho23_subgraph(g, p)),
+        EULERIAN_EVEN_ONLY: lambda g, p: gr.all_degrees_even(rho23_subgraph(g, p)),
+        EULERIAN_HAMILTONIAN: lambda g, p: _has_hamiltonian_cycle(rho23_subgraph(g, p)),
+        "even-cross-degrees": lambda g, p: even_cross_degrees(g, p),
+    }
+)
+
+
+def rho23_predicate(g: Graph, p: LewisPartition, mode: str) -> bool:
+    if mode not in RHO23_PREDICATES:
+        raise ValueError(f"unknown rho2/rho3 predicate {mode!r}")
+    return RHO23_PREDICATES[mode](g, p)
 
 
 def check_theorem_3_2(g: Graph, p: LewisPartition, eulerian_mode: str = EULERIAN_STANDARD) -> OddDegreeVerdict:
     """Evaluate the odd-degree characterization on a valid partition.
 
     all-odd  <=>  block, |rho1+rho2| even, |rho3+rho4| even, and the
-    rho2+rho3 subgraph Eulerian under the chosen predicate. Raises when
-    the partition fails validation (the theorem's hypotheses are unmet).
+    rho2/rho3 condition under the chosen ``RHO23_PREDICATES`` entry.
+    Raises when the partition fails validation (the theorem's hypotheses
+    are unmet) or the predicate name is unknown.
     """
     validity = validate_partition(g, p)
     if not validity.valid:

@@ -9,8 +9,12 @@ all-vertex-cycle reading); the assertion that one of the two parity
 readings survives is kept faithful and fails, and the survey records
 the linking-parity condition that is discrepancy-free. Details in the
 README's "Odd-degree characterization findings" section.
+
+The survey JSON for n = 1..8 is also pinned byte for byte, from the same
+fixture run.
 """
 
+import hashlib
 import random
 import time
 
@@ -36,6 +40,7 @@ from cdgraph import (
 )
 from cdgraph import enumeration
 from cdgraph.checks import FAIL, check_palfy
+from cdgraph.lewis import RHO23_PREDICATES
 from cdgraph.graph import cut_vertices
 from conftest import graph_from_mask, path_graph
 
@@ -196,6 +201,33 @@ def test_criterion_7_diameter3_characterization_survey(survey):
             f"(see README, 'Odd-degree characterization findings')"
         ),
     )
+
+
+# sha256 of ``verify_section_3(n).to_json()``: the survey's bytes may
+# change only on purpose.
+SURVEY_SHA256 = {
+    1: "b058802e77227e71787ab8a4a724a96dffdb98c167534428e43558d604bebc93",
+    2: "6657e4766fdfa972cec416ba15eff808b6fc94f41556c801840e23e7076f3bf8",
+    3: "440abce7bcdcbfb016537da35b1f86d1208bc4b7f558fc65349b1ff34d0c41f6",
+    4: "ab6358a7f0b7ca459e5398c4847847b2d7acb9031afbf552ac23983324d7d7e6",
+    5: "b46ddf07e3d37573fcad0f71f234fc339a81e4283c680d4c8cc510aaac2619e3",
+    6: "e1cb8086e80786078794eeda6be8e980791590a07a1198fbf434860af0ef3a88",
+    7: "e87a4ebeccf50bc18352474e2c984a171c87b3d5dca417029e4f91fb26b3076a",
+    8: "3b06217f5257304ebfaaf05307be64b04697f42b7a4c1a682ed0a7cae48fb682",
+}
+
+
+def test_survey_json_is_byte_stable(survey):
+    summaries, _ = survey
+    for n, digest in SURVEY_SHA256.items():
+        assert hashlib.sha256(summaries[n].to_json().encode()).hexdigest() == digest, n
+
+
+def test_survey_lists_every_rho23_predicate_in_table_order(survey):
+    summaries, _ = survey
+    for summary in summaries.values():
+        assert list(summary.theorem_3_2_discrepancies) == list(RHO23_PREDICATES)
+        assert list(summary.to_dict()["theorem_3_2_discrepancies"]) == list(RHO23_PREDICATES)
 
 
 def test_criterion_8_oracle_equivalence():

@@ -1,13 +1,16 @@
 import json
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from cdgraph import (
     Graph,
     complete_graph,
     connected_components,
+    enumerate_nonisomorphic,
     figure2_graph,
     run_battery,
 )
@@ -21,7 +24,6 @@ from cdgraph.checks import (
     check_forbidden_p4,
     check_palfy,
     check_regular_rule,
-    independent_triples,
     infer_fitting_height,
 )
 from conftest import cycle_graph, disjoint_union, graphs, path_graph
@@ -52,7 +54,7 @@ class TestPalfy:
         # Pálfy pass <=> the complement has no triangle.
         passes = check_palfy(g).verdict == PASS
         assert passes == (not oracles.complement_has_triangle(g.n, g.edges()))
-        assert passes == (not independent_triples(g))
+        assert passes == (not oracles.has_independent_triple(g.n, g.edges()))
 
 
 class TestComponentBound:
@@ -116,6 +118,80 @@ class TestForbiddenP4:
 
     def test_relabeled_p4_fails(self):
         assert check_forbidden_p4(Graph(4, [(2, 0), (0, 3), (3, 1)])).verdict == FAIL
+
+    def test_every_4_vertex_class_against_permutation_oracle(self):
+        p4 = path_graph(4).edges()
+        classes = list(enumerate_nonisomorphic(4))
+        assert len(classes) == 11
+        failing = [g for g in classes if check_forbidden_p4(g).verdict == FAIL]
+        assert failing == [
+            g for g in classes if oracles.is_isomorphic_by_permutation(4, g.edges(), p4)
+        ]
+        assert len(failing) == 1
+
+    def test_every_relabeling_of_p4_fails_with_a_traced_path(self):
+        for perm in permutations(range(4)):
+            g = Graph(4, [(perm[u], perm[v]) for u, v in path_graph(4).edges()])
+            result = check_forbidden_p4(g)
+            assert result.verdict == FAIL
+            path = result.witness
+            assert sorted(path) == [0, 1, 2, 3]
+            assert all(g.has_edge(u, v) for u, v in zip(path, path[1:]))
+
+
+@st.composite
+def palfy_graphs(draw, max_n: int = 30):
+    """Graphs with independence number <= 2, relabeled at random.
+
+    Either two cliques with random links between them (disconnected, or
+    of diameter 3, when the links are few), or the complement of a
+    random triangle-free graph.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    p = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if draw(st.booleans()):
+        a = rng.randrange(n + 1)
+        edges = [(u, v) for u, v in pairs if (u < a) == (v < a) or rng.random() < p]
+    else:
+        missing = [0] * n  # the triangle-free complement, as masks
+        rng.shuffle(pairs)
+        for u, v in pairs:
+            if rng.random() < p and not missing[u] & missing[v]:
+                missing[u] |= 1 << v
+                missing[v] |= 1 << u
+        edges = [(u, v) for u, v in pairs if not missing[u] >> v & 1]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+class TestPalfyImplications:
+    """Pálfy (independence number <= 2) implies the component and
+    diameter bounds: one vertex from each of three components, or the
+    1st, 3rd and 5th vertices of a shortest path with five vertices,
+    would be an independent triple. The battery still reports all three."""
+
+    @staticmethod
+    def assert_bounds_follow(g):
+        assert check_component_bound(g).verdict == PASS
+        assert check_diameter_bound(g).verdict == PASS
+
+    def test_exhaustive_up_to_7_vertices(self):
+        passing = 0
+        for n in range(1, 8):
+            for g in enumerate_nonisomorphic(n):
+                if check_palfy(g).verdict == PASS:
+                    passing += 1
+                    self.assert_bounds_follow(g)
+        assert passing == 1 + 2 + 3 + 7 + 14 + 38 + 107  # OEIS A006785
+
+    @given(palfy_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_random_palfy_graphs(self, g):
+        assert check_palfy(g).verdict == PASS
+        self.assert_bounds_follow(g)
 
 
 class TestCutVertices:

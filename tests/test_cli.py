@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cdgraph import encode_graph6, figure2_graph, odd_family
+from cdgraph import complete_graph, encode_graph6, figure2_graph, odd_family
 from cdgraph.cli import main
 
 
@@ -181,6 +181,28 @@ class TestConstructAndFamily:
     def test_family_at_graph6_limit(self, capsys):
         code, out, _ = run_cli(capsys, "family", "--n", "62")
         assert code == 0 and out.startswith("}")
+
+    @pytest.mark.parametrize("emit", ["graph6", "edgelist"])
+    def test_product_beyond_graph6_limit_exits_2(self, capsys, monkeypatch, emit):
+        # Two operands of 31 and 32 vertices: refused before the join is built.
+        def no_product(a, b):
+            raise AssertionError(f"direct_product built {a.n} + {b.n} vertices")
+
+        monkeypatch.setattr("cdgraph.cli.direct_product", no_product)
+        a, b = (encode_graph6(complete_graph(n)).decode("ascii") for n in (31, 32))
+        code, out, err = run_cli(capsys, "construct", "product", a, b, "--emit", emit)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "n <= 62" in err
+
+    @pytest.mark.parametrize("emit", ["graph6", "edgelist"])
+    def test_product_at_graph6_limit(self, capsys, emit):
+        k31 = encode_graph6(complete_graph(31)).decode("ascii")
+        code, out, _ = run_cli(capsys, "construct", "product", k31, k31, "--emit", emit)
+        assert code == 0
+        if emit == "graph6":
+            assert out.strip() == encode_graph6(complete_graph(62)).decode("ascii")
+        else:
+            assert out.startswith("62\n") and len(out.splitlines()) == 1 + 62 * 61 // 2
 
 
 class TestEnumerate:

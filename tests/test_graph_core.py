@@ -14,7 +14,6 @@ from cdgraph import (
     cut_vertices,
     degree_multiset,
     diameter,
-    distance_matrix,
     figure2_graph,
     induced_subgraph,
     is_block,
@@ -22,9 +21,14 @@ from cdgraph import (
     is_eulerian,
     is_regular,
 )
+from cdgraph.graph import bfs_distances
 from conftest import cycle_graph, disjoint_union, graphs, path_graph
 
 INF = math.inf
+
+
+def distance_rows(g: Graph) -> list[list[int | float]]:
+    return [bfs_distances(g, v) for v in range(g.n)]
 
 
 class TestConstruction:
@@ -94,17 +98,17 @@ class TestDegrees:
 
 class TestDistances:
     def test_path_endpoints(self):
-        d = distance_matrix(path_graph(4))
+        d = distance_rows(path_graph(4))
         assert d[0][3] == 3 and d[3][0] == 3
         assert d[1][1] == 0
 
     def test_complete_graph(self):
-        d = distance_matrix(complete_graph(6))
+        d = distance_rows(complete_graph(6))
         assert all(d[u][v] == 1 for u in range(6) for v in range(6) if u != v)
 
     def test_cross_component_is_infinite(self):
         two_k2 = disjoint_union(complete_graph(2), complete_graph(2))
-        assert distance_matrix(two_k2)[0][2] == INF
+        assert distance_rows(two_k2)[0][2] == INF
 
     def test_diameter_examples(self):
         assert diameter(figure2_graph()) == 2
@@ -119,7 +123,7 @@ class TestDistances:
     @given(graphs(max_n=7))
     @settings(max_examples=50, deadline=None)
     def test_diameter_is_max_matrix_entry_when_connected(self, g):
-        d = distance_matrix(g)
+        d = distance_rows(g)
         if len(connected_components(g)) == 1:
             assert diameter(g) == max(max(row) for row in d)
 
@@ -127,7 +131,7 @@ class TestDistances:
     @settings(max_examples=50, deadline=None)
     def test_distances_match_oracle(self, g):
         for v in range(g.n):
-            assert distance_matrix(g)[v] == oracles.distances(g.n, g.edges(), v)
+            assert bfs_distances(g, v) == oracles.distances(g.n, g.edges(), v)
 
 
 class TestComponents:

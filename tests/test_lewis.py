@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdgraph import (
     Graph,
@@ -25,11 +27,14 @@ from cdgraph.lewis import (
     EULERIAN_STANDARD,
     NOT_APPLICABLE,
     PASS,
+    RHO23_PREDICATES,
     VACUOUS_PASS,
     LewisPartition,
+    even_cross_degrees,
     partition_report,
+    rho23_predicate,
 )
-from conftest import cycle_graph, disjoint_union, path_graph
+from conftest import cycle_graph, disjoint_union, graphs, path_graph
 
 
 def two_k4_linked(cross):
@@ -77,11 +82,11 @@ class TestLewisPartition:
             assert sum(len(s) for s in sets) == 8
 
     def test_distance_consistency(self):
-        from cdgraph import distance_matrix
+        from cdgraph.graph import bfs_distances
 
         for g in (path_graph(4), BALANCED, cycle_graph(6)):
             for r, p, _ in enumerate_lewis_partitions(g):
-                dist = distance_matrix(g)[r]
+                dist = bfs_distances(g, r)
                 assert all(dist[v] == 2 for v in p.rho3)
                 assert all(dist[v] == 3 for v in p.rho4)
                 assert all(dist[v] <= 1 for v in p.rho1 | p.rho2)
@@ -173,8 +178,49 @@ class TestTheorem32:
 
     def test_unknown_mode_rejected(self):
         p = lewis_partition(path_graph(4), 0)
-        with pytest.raises(ValueError):
-            check_theorem_3_2(path_graph(4), p, "hamiltonian-ish")
+        for name in ("hamiltonian-ish", "even-cross", "Standard", ""):
+            with pytest.raises(ValueError):
+                check_theorem_3_2(path_graph(4), p, name)
+            with pytest.raises(ValueError):
+                rho23_predicate(path_graph(4), p, name)
+
+
+class TestRho23Predicates:
+    def test_table_order(self):
+        assert tuple(RHO23_PREDICATES) == (
+            EULERIAN_STANDARD,
+            EULERIAN_EVEN_ONLY,
+            EULERIAN_HAMILTONIAN,
+            "even-cross-degrees",
+        )
+
+    def test_table_is_read_only(self):
+        with pytest.raises(TypeError):
+            RHO23_PREDICATES["always"] = lambda g, p: True
+
+    def test_linking_parity_holds_on_balanced_instance(self):
+        # Each rho2 vertex has two rho3 neighbors and vice versa, so the
+        # linking parity completes the characterization the parity
+        # readings of "Eulerian" miss on this graph.
+        p, _ = first_valid_partition(BALANCED)
+        verdict = check_theorem_3_2(BALANCED, p, "even-cross-degrees")
+        assert verdict.eulerian_mode == "even-cross-degrees"
+        assert verdict.rho23_eulerian and verdict.characterization_holds
+
+    @given(graphs(max_n=8, min_n=2), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_linking_parity_counts_cross_edges(self, g, data):
+        # Any split works here: the predicate reads only rho2 and rho3.
+        sides = data.draw(st.lists(st.sampled_from([1, 2, 3, 4]), min_size=g.n, max_size=g.n))
+        rho = [frozenset(v for v in range(g.n) if sides[v] == k) for k in (1, 2, 3, 4)]
+        p = LewisPartition(0, 0, *rho)
+
+        def even(a, b):
+            return all(sum(g.has_edge(u, v) for v in b) % 2 == 0 for u in a)
+
+        expected = even(p.rho2, p.rho3) and even(p.rho3, p.rho2)
+        assert even_cross_degrees(g, p) == expected
+        assert rho23_predicate(g, p, "even-cross-degrees") == expected
 
 
 class TestTheorem33:

@@ -18,7 +18,6 @@ from cdgraph import (
     block_decomposition,
     cut_vertices,
     diameter,
-    distance_matrix,
     enumerate_lewis_partitions,
     is_block,
     lewis_partition,
@@ -142,10 +141,7 @@ class TestCachedDistances:
         row = gr.bfs_distances(g, 0)
         row[3] = 99
         row.append(7)
-        matrix = distance_matrix(g)
-        matrix[1][0] = -1
         assert gr.bfs_distances(g, 0) == [0, 1, 2, 3, 4]
-        assert distance_matrix(g)[1] == [1, 0, 1, 2, 3]
         assert gr.eccentricity(g, 0) == 4 and diameter(g) == 4
         assert check_diameter_bound(g).witness == [0, 4, 4]
 
@@ -163,7 +159,6 @@ class TestCachedDistances:
 FIRST_TOUCH = {
     "bfs_distances": lambda g: gr.bfs_distances(g, g.n - 1),
     "eccentricity": lambda g: gr.eccentricity(g, 0),
-    "distance_matrix": distance_matrix,
     "diameter": diameter,
     "block_decomposition": block_decomposition,
     "cut_vertices": cut_vertices,
@@ -186,7 +181,8 @@ def test_structure_agrees_with_oracles_whatever_touches_first(first, g):
     assert diameter(g) == oracles.diameter_by_bfs(g.n, edges)
     assert set(cut_vertices(g)) == cuts
     assert is_block(g) == (len(oracles.components(g.n, edges)) == 1 and not cuts)
-    assert distance_matrix(g) == [oracles.distances(g.n, edges, v) for v in range(g.n)]
+    for v in range(g.n):
+        assert gr.bfs_distances(g, v) == oracles.distances(g.n, edges, v)
 
 
 class TestCacheIgnoredByIdentity:
@@ -196,7 +192,7 @@ class TestCacheIgnoredByIdentity:
         before = hash(warm)
         run_battery(warm)
         partition_report(warm)
-        distance_matrix(warm)
+        gr.diameter(warm)
         assert warm._dist is not None and warm._blocks is not None
         assert cold._dist is None and cold._blocks is None
         assert warm == cold and cold == warm
