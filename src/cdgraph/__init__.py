@@ -10,7 +10,6 @@ from .enumeration import (
     EnumerationSummary,
     enumerate_admissible,
     enumerate_nonisomorphic,
-    find_odd_degree_graphs,
     verify_section_3,
 )
 from .formats import (
@@ -91,7 +90,6 @@ __all__ = [
     "enumerate_lewis_partitions",
     "enumerate_nonisomorphic",
     "figure2_graph",
-    "find_odd_degree_graphs",
     "first_valid_partition",
     "induced_subgraph",
     "is_block",

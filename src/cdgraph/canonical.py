@@ -62,25 +62,11 @@ def _twins(adj: tuple[int, ...], u: int, v: int) -> bool:
     return (adj[u] ^ adj[v]) & mask == 0
 
 
-def _rows_for_order(n: int, adj: tuple[int, ...], order: list[int]) -> list[int]:
-    rows = []
-    for i in range(1, n):
-        av = adj[order[i]]
-        row = 0
-        for u in order[:i]:
-            row = row << 1 | (av >> u & 1)
-        rows.append(row)
-    return rows
-
-
 def _min_code_rows(n: int, adj: tuple[int, ...]) -> list[int]:
     color = refined_colors(n, adj)
     classes: list[list[int]] = [[] for _ in range(max(color) + 1)]
     for v, c in enumerate(color):
         classes[c].append(v)
-
-    if all(len(members) == 1 for members in classes):
-        return _rows_for_order(n, adj, [members[0] for members in classes])
 
     position_class: list[int] = []
     for ci, members in enumerate(classes):

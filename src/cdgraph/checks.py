@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from . import graph as gr
-from .formats import encode_graph6
+from .formats import GRAPH6_MAX_N, encode_graph6
 from .graph import Graph
 
 PASS = "pass"
@@ -30,17 +30,6 @@ CITATIONS = {
     "forbidden-p4": "Theorem 2.3: the 4-vertex path graph is not a solvable-group degree graph",
     "fitting-height": "Theorem 2.6: two nonadjacent vertices of degree < n-2 force Fitting height >= 3",
 }
-
-# Global structural checks first, the exact 4-vertex path test last.
-CHECK_ORDER = (
-    "palfy",
-    "component-bound",
-    "diameter-bound",
-    "cut-vertices",
-    "regular-rule",
-    "forbidden-p4",
-)
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -223,14 +212,15 @@ def infer_fitting_height(g: Graph) -> Inference | None:
     return None
 
 
-_CHECK_FUNCTIONS = {
-    "palfy": check_palfy,
-    "component-bound": check_component_bound,
-    "diameter-bound": check_diameter_bound,
-    "cut-vertices": check_cut_vertices,
-    "regular-rule": check_regular_rule,
-    "forbidden-p4": check_forbidden_p4,
-}
+# Global structural checks first, the exact 4-vertex path test last.
+_CHECKS = (
+    check_palfy,
+    check_component_bound,
+    check_diameter_bound,
+    check_cut_vertices,
+    check_regular_rule,
+    check_forbidden_p4,
+)
 
 
 def run_battery(g: Graph) -> CheckReport:
@@ -241,10 +231,10 @@ def run_battery(g: Graph) -> CheckReport:
     """
     if g.n == 0:
         raise ValueError("the battery is undefined for the empty graph")
-    results = tuple(_CHECK_FUNCTIONS[name](g) for name in CHECK_ORDER)
+    results = tuple(check(g) for check in _CHECKS)
     inference = infer_fitting_height(g)
     inferences = (inference,) if inference is not None else ()
-    if g.n <= 62:
+    if g.n <= GRAPH6_MAX_N:
         label = encode_graph6(g).decode("ascii")
     else:
         label = f"<graph n={g.n} m={g.edge_count}>"  # beyond the graph6 header range

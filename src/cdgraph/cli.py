@@ -76,13 +76,16 @@ def _read_graph(args: argparse.Namespace) -> Graph:
     text = text.strip()
     if not text:
         raise ValueError("empty input")
+    lines = [line.strip() for line in text.splitlines()]
     fmt = args.format
     if fmt == "auto":
-        first = text.splitlines()[0].strip()
-        fmt = "edgelist" if first.lstrip("-").isdigit() else "g6"
+        fmt = "edgelist" if lines[0].lstrip("-").isdigit() else "g6"
     if fmt == "edgelist":
         return decode_edgelist(text)
-    return decode_graph6(text.splitlines()[0].strip())
+    graphs = [line for line in lines if line]
+    if len(graphs) > 1:
+        raise ValueError(f"graph6 input holds {len(graphs)} graphs; give one graph per input")
+    return decode_graph6(graphs[0])
 
 
 def _emit_graph(g: Graph, emit: str) -> None:
@@ -96,15 +99,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
     g = _read_graph(args)
     report = run_battery(g)
     payload: dict[str, Any] = report.to_dict()
-    lewis_report = None
-    if gr.is_connected(g) and gr.diameter(g) == 3:
-        lewis_report = lewis.partition_report(g, args.eulerian)
+    lewis_report = lewis.partition_report(g, args.eulerian)
+    if lewis_report["applicable"]:
         payload["lewis"] = lewis_report
     if args.output == "json":
         print(json.dumps(payload, indent=2))
     else:
         print(report.render_text())
-        if lewis_report is not None:
+        if lewis_report["applicable"]:
             print(lewis.render_partition_text(lewis_report))
     return 0 if report.overall else 1
 

@@ -23,7 +23,6 @@ from . import graph as gr
 from . import lewis
 from .canonical import canonical_form
 from .checks import CheckReport, run_battery
-from .constructions import odd_family
 from .formats import decode_graph6
 from .graph import Graph
 
@@ -148,7 +147,7 @@ def verify_section_3(n: int) -> EnumerationSummary:
         if lewis.check_regular_odd(g).verdict == lewis.DISCREPANCY:
             regular_discrepancies.append(g6)
 
-        if gr.is_connected(g) and gr.diameter(g) == 3:
+        if gr.diameter(g) == 3:
             found = lewis.first_valid_partition(g)
             if found is None:
                 no_valid_partition.append(g6)
@@ -195,31 +194,3 @@ def verify_section_3(n: int) -> EnumerationSummary:
         diameter3_no_valid_partition=tuple(no_valid_partition),
         notes=tuple(notes),
     )
-
-
-def find_odd_degree_graphs(n: int, mode: str = "exhaustive") -> list[tuple[Graph, dict[str, Any]]]:
-    """Admissible all-odd graphs on n vertices.
-
-    Exhaustive mode enumerates every class (even n <= 9); constructive
-    mode returns the inductive family witness (even n >= 6).
-    """
-    if n % 2:
-        raise ValueError("graphs with every degree odd need an even vertex count")
-    if mode == "constructive":
-        return [_annotate(odd_family(n))]
-    if mode != "exhaustive":
-        raise ValueError(f"unknown mode {mode!r}")
-    if not 1 <= n <= MAX_ENUMERATION_N:
-        raise ValueError(f"exhaustive mode supports n <= {MAX_ENUMERATION_N}")
-    return [_annotate(g) for g, _ in enumerate_admissible(n) if gr.all_degrees_odd(g)]
-
-
-def _annotate(g: Graph) -> tuple[Graph, dict[str, Any]]:
-    diam = gr.diameter(g)
-    return g, {
-        "graph6": canonical_form(g).decode("ascii"),
-        "degree_multiset": list(gr.degree_multiset(g)),
-        "regular": gr.is_regular(g)[0],
-        "block": gr.is_block(g),
-        "diameter": diam if diam != gr.INFINITY else "inf",
-    }

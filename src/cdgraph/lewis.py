@@ -205,16 +205,15 @@ def validate_partition(g: Graph, p: LewisPartition) -> PartitionValidity:
 def enumerate_lewis_partitions(g: Graph) -> list[tuple[int, LewisPartition, PartitionValidity]]:
     """One validated partition per eccentricity-3 base vertex.
 
-    Empty when the graph is disconnected or its diameter is not 3.
+    Empty when the graph's diameter is not 3 (inf when disconnected).
     """
-    if g.n == 0 or not gr.is_connected(g) or gr.diameter(g) != 3:
+    if g.n == 0 or gr.diameter(g) != 3:
         return []
     out = []
     for r in range(g.n):
-        if gr.eccentricity(g, r) != 3:
-            continue
         p = lewis_partition(g, r)
-        out.append((r, p, validate_partition(g, p)))
+        if p is not None:
+            out.append((r, p, validate_partition(g, p)))
     return out
 
 
@@ -338,8 +337,8 @@ def check_theorem_3_3(g: Graph) -> TheoremVerdict:
 
 
 def _on_hypotheses(g: Graph, p: LewisPartition) -> bool:
-    """Connected, diameter 3, and ``p`` validates: what 2.5 and 2.7 assume."""
-    return gr.is_connected(g) and gr.diameter(g) == 3 and validate_partition(g, p).valid
+    """Diameter 3 (so connected) and ``p`` validates: what 2.5 and 2.7 assume."""
+    return gr.diameter(g) == 3 and validate_partition(g, p).valid
 
 
 def check_theorem_2_5(g: Graph, p: LewisPartition) -> TheoremVerdict:

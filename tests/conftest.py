@@ -33,6 +33,30 @@ def graphs(draw, max_n: int = 8, min_n: int = 1):
     return graph_from_mask(n, mask)
 
 
+@st.composite
+def joined_cliques(draw, max_n: int = 30):
+    """Cliques A = 0..a-1 and B = a..n-1 with random A-B links, shuffled.
+
+    Vertex 0 and vertex n-1 get no link, so 0 has eccentricity 3 and
+    the graph has diameter 3 unless the optional dropped clique edge
+    breaks that.
+    """
+    a = draw(st.integers(min_value=2, max_value=max_n - 2))
+    b = draw(st.integers(min_value=2, max_value=max_n - a))
+    n = a + b
+    rng = draw(st.randoms(use_true_random=False))
+    p = draw(st.sampled_from([0.1, 0.3, 0.6, 0.9]))
+    cliques = {(u, v) for u in range(a) for v in range(u + 1, a)}
+    cliques |= {(u, v) for u in range(a, n) for v in range(u + 1, n)}
+    links = {(u, v) for u in range(1, a) for v in range(a, n - 1) if rng.random() < p}
+    links.add((rng.randrange(1, a), rng.randrange(a, n - 1)))
+    if draw(st.booleans()):
+        cliques.discard(rng.choice(sorted(cliques)))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in cliques | links])
+
+
 @pytest.fixture(scope="session")
 def small_corpus() -> list[Graph]:
     """A spread of named graphs exercising every structural case."""

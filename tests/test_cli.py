@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from cdgraph import complete_graph, encode_graph6, figure2_graph, odd_family
+from cdgraph import (
+    all_degrees_odd,
+    canonical_form,
+    complete_graph,
+    decode_graph6,
+    encode_graph6,
+    figure2_graph,
+    odd_family,
+)
 from cdgraph.cli import main
 
 
@@ -75,6 +83,26 @@ class TestCheck:
         monkeypatch.setattr("sys.stdin", io.StringIO("1000000000"))
         code, out, err = run_cli(capsys, "check", "-")
         assert code == 2 and out == "" and "n <= 62" in err
+
+    @pytest.mark.parametrize("command", ["check", "lewis"])
+    def test_several_graph6_lines_exit_2(self, capsys, tmp_path, monkeypatch, command):
+        # One graph per input: a graph6 stream is refused, not checked
+        # by its first line.
+        import io
+
+        text = "Ch\nC~\n\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, command, "-")
+        assert code == 2 and out == "" and err.startswith("error:") and "2 graphs" in err
+
+        path = tmp_path / "two.g6"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, command, str(path), "--format", "graph6")
+        assert code == 2 and out == "" and err.startswith("error:") and "2 graphs" in err
+
+        path.write_text("\nCh\n  \n")  # blank lines around one graph are fine
+        code, _, _ = run_cli(capsys, command, str(path))
+        assert code == (1 if command == "check" else 0)
 
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "check", "--g6", "zz")
@@ -218,11 +246,23 @@ class TestEnumerate:
         assert len(out.strip().splitlines()) == 5
 
     def test_all_odd_stream_json(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "enumerate", "--n", "4", "--filter", "all-odd", "--emit", "json"
-        )
-        payload = json.loads(out)
-        assert payload["graphs"] == ["C~"]  # K4
+        def stream(n):
+            code, out, _ = run_cli(
+                capsys, "enumerate", "--n", str(n), "--filter", "all-odd", "--emit", "json"
+            )
+            assert code == 0
+            return json.loads(out)["graphs"]
+
+        def form(g):
+            return canonical_form(g).decode("ascii")
+
+        assert stream(2) == [form(complete_graph(2))]  # K2 only
+        assert stream(4) == ["C~"]  # K4 only
+        n6 = stream(6)
+        for g in (figure2_graph(), complete_graph(6), odd_family(6)):
+            assert form(g) in n6
+        assert all(all_degrees_odd(decode_graph6(s)) for s in n6)
+        assert form(odd_family(8)) in stream(8)
 
     def test_full_stream_count(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "--n", "4")

@@ -7,9 +7,6 @@ from cdgraph import (
     complete_graph,
     enumerate_admissible,
     enumerate_nonisomorphic,
-    figure2_graph,
-    find_odd_degree_graphs,
-    odd_family,
     run_battery,
     verify_section_3,
 )
@@ -102,6 +99,12 @@ class TestVerifySection3:
         assert summary.all_odd_admissible == 1  # K4 only
         assert summary.theorem_3_2_discrepancies["standard"] == ()
 
+    @pytest.mark.parametrize("n, surveyed", [(5, 1), (7, 14)])
+    def test_theorem_3_2_holds_vacuously_at_odd_n(self, n, surveyed):
+        summary = verify_section_3(n)
+        assert summary.diameter3_surveyed == surveyed
+        assert all(vals == () for vals in summary.theorem_3_2_discrepancies.values())
+
     def test_counts_are_monotone(self):
         for n in range(1, 7):
             s = verify_section_3(n)
@@ -124,46 +127,3 @@ class TestVerifySection3:
             "hamiltonian",
             "even-cross-degrees",
         }
-
-
-class TestFindOddDegreeGraphs:
-    def test_n6_exhaustive_contains_figure2_and_k6(self):
-        results = find_odd_degree_graphs(6)
-        forms = {props["graph6"] for _, props in results}
-        assert canonical_form(figure2_graph()).decode("ascii") in forms
-        assert canonical_form(complete_graph(6)).decode("ascii") in forms
-
-    def test_family_witness_found_exhaustively(self):
-        for n in (6, 8):
-            forms = {props["graph6"] for _, props in find_odd_degree_graphs(n)}
-            assert canonical_form(odd_family(n)).decode("ascii") in forms
-
-    def test_n2_only_k2(self):
-        results = find_odd_degree_graphs(2)
-        assert len(results) == 1
-        assert results[0][0] == complete_graph(2)
-
-    def test_constructive_mode(self):
-        g, props = find_odd_degree_graphs(8, mode="constructive")[0]
-        assert g == odd_family(8)
-        assert props["degree_multiset"] == [7, 7, 7, 7, 5, 5, 5, 5]
-        assert props["block"] and not props["regular"]
-
-    def test_annotations_verifiable(self):
-        for g, props in find_odd_degree_graphs(6):
-            assert props["regular"] == (len(set(props["degree_multiset"])) == 1)
-            assert sorted(props["degree_multiset"], reverse=True) == props["degree_multiset"]
-
-    def test_odd_n_rejected(self):
-        with pytest.raises(ValueError):
-            find_odd_degree_graphs(5)
-        with pytest.raises(ValueError):
-            find_odd_degree_graphs(7, mode="constructive")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            find_odd_degree_graphs(6, mode="sampled")
-
-    def test_exhaustive_range(self):
-        with pytest.raises(ValueError):
-            find_odd_degree_graphs(10)

@@ -19,7 +19,7 @@ from cdgraph import (
     odd_family,
     validate_partition,
 )
-from cdgraph import diameter, is_connected
+from cdgraph import cut_vertices, decode_graph6, diameter, is_connected, run_battery
 from cdgraph.lewis import (
     DISCREPANCY,
     EULERIAN_EVEN_ONLY,
@@ -34,7 +34,7 @@ from cdgraph.lewis import (
     partition_report,
     rho23_predicate,
 )
-from conftest import cycle_graph, disjoint_union, graphs, path_graph
+from conftest import cycle_graph, disjoint_union, graphs, joined_cliques, path_graph
 
 
 def two_k4_linked(cross):
@@ -184,6 +184,16 @@ class TestTheorem32:
             with pytest.raises(ValueError):
                 rho23_predicate(path_graph(4), p, name)
 
+    @given(joined_cliques(max_n=9).filter(lambda g: g.n % 2 == 1))
+    @settings(max_examples=60, deadline=None)
+    def test_holds_vacuously_at_odd_n(self, g):
+        # At odd n no graph has every degree odd, and |rho1+rho2| and
+        # |rho3+rho4| cannot both be even, so both sides are false.
+        for _, p, validity in enumerate_lewis_partitions(g):
+            if validity.valid:
+                for mode in RHO23_PREDICATES:
+                    assert check_theorem_3_2(g, p, mode).characterization_holds
+
 
 class TestRho23Predicates:
     def test_table_order(self):
@@ -274,6 +284,26 @@ class TestTheorem25:
     def test_not_applicable_off_hypotheses(self):
         fake = LewisPartition(0, 3, frozenset({0}), frozenset({1}), frozenset({2}), frozenset({3}))
         assert check_theorem_2_5(cycle_graph(4), fake).verdict == NOT_APPLICABLE
+
+    def test_verdict_depends_on_the_base_vertex(self):
+        # FwCZw is admissible with diameter 3 and one cut vertex, 6. From
+        # r = 0 the cut vertex is the lone rho3 member, so the reported
+        # (first) partition records a discrepancy; from r = 3, 4 and 5 it
+        # is the lone rho2 member and the theorem passes.
+        g = decode_graph6("FwCZw")
+        assert g.n == 7 and run_battery(g).overall
+        assert diameter(g) == 3 and cut_vertices(g) == {6}
+        entries = enumerate_lewis_partitions(g)
+        assert [r for r, _, validity in entries if validity.valid] == [0, 3, 4, 5]
+        for r, p, _ in entries:
+            verdict = check_theorem_2_5(g, p).verdict
+            if r == 0:
+                assert p.rho2 == {1, 2} and p.rho3 == {6}
+                assert verdict == DISCREPANCY
+            else:
+                assert p.rho2 == {6}
+                assert verdict == PASS
+        assert partition_report(g)["theorems"]["2.5"]["verdict"] == DISCREPANCY
 
 
 class TestTheorem27:

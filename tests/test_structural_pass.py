@@ -27,7 +27,7 @@ from cdgraph import (
 from cdgraph import graph as gr
 from cdgraph.checks import check_cut_vertices, check_diameter_bound
 from cdgraph.lewis import LewisPartition, partition_report
-from conftest import cycle_graph, path_graph
+from conftest import cycle_graph, joined_cliques, path_graph
 
 
 @st.composite
@@ -38,30 +38,6 @@ def random_graphs(draw, max_n: int = 30):
     p = draw(st.sampled_from([0.05, 0.1, 0.15, 0.25, 0.4, 0.6, 0.85]))
     rng = draw(st.randoms(use_true_random=False))
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
-
-
-@st.composite
-def joined_cliques(draw, max_n: int = 30):
-    """Cliques A = 0..a-1 and B = a..n-1 with random A-B links, shuffled.
-
-    Vertex 0 and vertex n-1 get no link, so 0 has eccentricity 3 and
-    the graph has diameter 3 unless the optional dropped clique edge
-    breaks that.
-    """
-    a = draw(st.integers(min_value=2, max_value=max_n - 2))
-    b = draw(st.integers(min_value=2, max_value=max_n - a))
-    n = a + b
-    rng = draw(st.randoms(use_true_random=False))
-    p = draw(st.sampled_from([0.1, 0.3, 0.6, 0.9]))
-    cliques = {(u, v) for u in range(a) for v in range(u + 1, a)}
-    cliques |= {(u, v) for u in range(a, n) for v in range(u + 1, n)}
-    links = {(u, v) for u in range(1, a) for v in range(a, n - 1) if rng.random() < p}
-    links.add((rng.randrange(1, a), rng.randrange(a, n - 1)))
-    if draw(st.booleans()):
-        cliques.discard(rng.choice(sorted(cliques)))
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return Graph(n, [(perm[u], perm[v]) for u, v in cliques | links])
 
 
 def assert_matches_pairwise_reference(g: Graph, p: LewisPartition) -> None:
