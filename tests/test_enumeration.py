@@ -3,10 +3,13 @@ import pytest
 import oracles
 from cdgraph import (
     Graph,
+    all_degrees_odd,
     canonical_form,
     complete_graph,
     enumerate_admissible,
     enumerate_nonisomorphic,
+    figure2_graph,
+    odd_family,
     run_battery,
     verify_section_3,
 )
@@ -127,3 +130,26 @@ class TestVerifySection3:
             "hamiltonian",
             "even-cross-degrees",
         }
+
+
+class TestFindOddDegreeGraphs:
+    """Admissible all-odd classes, as `cdgraph enumerate --filter all-odd` streams them."""
+
+    @staticmethod
+    def all_odd_admissible(n):
+        return [g for g, _ in enumerate_admissible(n) if all_degrees_odd(g)]
+
+    def test_n6_exhaustive_contains_figure2_and_k6(self):
+        forms = {canonical_form(g) for g in self.all_odd_admissible(6)}
+        assert canonical_form(figure2_graph()) in forms
+        assert canonical_form(complete_graph(6)) in forms
+
+    def test_family_witness_found_exhaustively(self):
+        for n in (6, 8):
+            forms = {canonical_form(g) for g in self.all_odd_admissible(n)}
+            assert canonical_form(odd_family(n)) in forms
+
+    def test_n2_only_k2(self):
+        results = self.all_odd_admissible(2)
+        assert len(results) == 1
+        assert results[0] == complete_graph(2)
