@@ -154,8 +154,9 @@ def verify_section_3(n: int) -> EnumerationSummary:
             else:
                 partition, _ = found
                 surveyed += 1
+                # ``first_valid_partition`` has validated the partition.
                 for mode in lewis.RHO23_PREDICATES:
-                    verdict = lewis.check_theorem_3_2(g, partition, mode)
+                    verdict = lewis._theorem_3_2(g, partition, mode)
                     if not verdict.characterization_holds:
                         t32_discrepancies[mode].append(g6)
 

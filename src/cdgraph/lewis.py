@@ -206,6 +206,9 @@ def enumerate_lewis_partitions(g: Graph) -> list[tuple[int, LewisPartition, Part
     """One validated partition per eccentricity-3 base vertex.
 
     Empty when the graph's diameter is not 3 (inf when disconnected).
+    The per-base reference: the package itself builds one partition per
+    graph, since every base validates or none does (see
+    ``partition_report``), and the tests compare against this.
     """
     if g.n == 0 or gr.diameter(g) != 3:
         return []
@@ -217,12 +220,37 @@ def enumerate_lewis_partitions(g: Graph) -> list[tuple[int, LewisPartition, Part
     return out
 
 
+def _canonical_partition(
+    g: Graph,
+) -> tuple[list[int], LewisPartition, PartitionValidity] | None:
+    """The eccentricity-3 base vertices, and the partition from the
+    smallest of them with its validity; None when the diameter is not 3.
+
+    Validity does not depend on the base: when one partition validates,
+    the eccentricity-3 vertices are exactly rho1 | rho4 (rho2 and rho3
+    reach everything in two steps), a rho1 base gives the same four
+    sets and a rho4 base the reversed ones, and the five properties are
+    symmetric under that reversal.
+    """
+    if g.n == 0 or gr.diameter(g) != 3:
+        return None
+    bases = [v for v in range(g.n) if gr.eccentricity(g, v) == 3]
+    p = lewis_partition(g, bases[0])
+    return bases, p, validate_partition(g, p)
+
+
 def first_valid_partition(g: Graph) -> tuple[LewisPartition, PartitionValidity] | None:
-    """Partition for the smallest base vertex whose partition validates."""
-    for _, p, validity in enumerate_lewis_partitions(g):
-        if validity.valid:
-            return p, validity
-    return None
+    """Partition for the smallest base vertex whose partition validates.
+
+    That is the smallest eccentricity-3 base when its partition
+    validates, and no base otherwise, since validity does not depend
+    on the base.
+    """
+    found = _canonical_partition(g)
+    if found is None:
+        return None
+    _, p, validity = found
+    return (p, validity) if validity.valid else None
 
 
 def _has_hamiltonian_cycle(g: Graph) -> bool:
@@ -398,20 +426,24 @@ def check_regular_odd(g: Graph) -> TheoremVerdict:
 
 def partition_report(g: Graph, eulerian_mode: str = EULERIAN_STANDARD) -> dict[str, Any]:
     """JSON-ready report for the canonical (smallest eccentricity-3 r)
-    partition, plus validity of every base-vertex choice. The partition
-    is validated once; the theorem verdicts reuse that validity."""
-    entries = enumerate_lewis_partitions(g)
-    if not entries:
+    partition, plus validity of every base-vertex choice.
+
+    One partition is built and validated. Every eccentricity-3 base
+    carries its validity, because when one base's partition validates
+    all do (``enumerate_lewis_partitions`` is the per-base reference).
+    The theorem verdicts reuse that validity."""
+    found = _canonical_partition(g)
+    if found is None:
         return {
             "applicable": False,
             "reason": "graph is disconnected or its diameter is not 3",
         }
-    _, p, validity = entries[0]
+    bases, p, validity = found
     report: dict[str, Any] = {
         "applicable": True,
         "partition": p.to_dict(),
         "validity": validity.to_dict(),
-        "base_vertices": [{"r": r, "valid": val.valid} for r, _, val in entries],
+        "base_vertices": [{"r": r, "valid": validity.valid} for r in bases],
     }
     theorems: dict[str, Any] = {
         "2.5": _theorem_2_5(g, p, validity.valid).to_dict(),

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,12 +16,15 @@ from cdgraph import (
     complete_graph,
     enumerate_admissible,
     enumerate_lewis_partitions,
+    enumerate_nonisomorphic,
     figure2_graph,
     first_valid_partition,
     lewis_partition,
     odd_family,
     validate_partition,
+    verify_section_3,
 )
+from cdgraph import lewis
 from cdgraph import cut_vertices, decode_graph6, diameter, is_connected, run_battery
 from cdgraph.lewis import (
     DISCREPANCY,
@@ -343,6 +349,15 @@ class TestParityTheorems:
         assert check_regular_odd(figure2_graph()).verdict == NOT_APPLICABLE
 
 
+# sha256 over ``json.dumps(partition_report(g, mode))`` for every
+# diameter-3 class with n <= 7, in enumeration order: the report's bytes
+# may change only on purpose.
+REPORT_SHA256 = {
+    EULERIAN_STANDARD: "cef213670c0ac92e1a4dc8d181f92130f0df231e7cb143a9876d607fe0b3e70a",
+    EULERIAN_EVEN_ONLY: "3817d1ceaa7ca80598f6874f5b4d7a3a8a391267583034889c5d276df399a6c0",
+}
+
+
 class TestPartitionReport:
     def test_p4_report(self):
         report = partition_report(path_graph(4))
@@ -360,3 +375,43 @@ class TestPartitionReport:
             "applicable": False,
             "reason": "graph is disconnected or its diameter is not 3",
         }
+
+    def test_report_bytes_are_pinned(self):
+        for mode, expected in REPORT_SHA256.items():
+            digest = hashlib.sha256()
+            for n in range(1, 8):
+                for g in enumerate_nonisomorphic(n):
+                    if diameter(g) == 3:
+                        digest.update(json.dumps(partition_report(g, mode)).encode())
+            assert digest.hexdigest() == expected, mode
+
+
+def count_calls(monkeypatch, *names):
+    """Wrap each named ``lewis`` attribute so that its calls are counted."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(lewis, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(lewis, name, counted)
+    return counts
+
+
+class TestOnePassPerGraph:
+    @pytest.mark.parametrize("g", [BALANCED, cycle_graph(6)], ids=["balanced", "c6"])
+    def test_report_builds_and_validates_one_partition(self, monkeypatch, g):
+        counts = count_calls(monkeypatch, "lewis_partition", "validate_partition")
+        report = partition_report(g)
+        assert report["applicable"] and len(report["base_vertices"]) > 1
+        assert counts == {"lewis_partition": 1, "validate_partition": 1}
+
+    def test_survey_validates_once_per_diameter3_graph(self, monkeypatch):
+        counts = count_calls(monkeypatch, "validate_partition")
+        summary = verify_section_3(7)
+        assert summary.diameter3_surveyed > 0
+        assert counts["validate_partition"] == summary.diameter3_surveyed + len(
+            summary.diameter3_no_valid_partition
+        )

@@ -19,6 +19,7 @@ from cdgraph import (
     cut_vertices,
     diameter,
     enumerate_lewis_partitions,
+    enumerate_nonisomorphic,
     is_block,
     lewis_partition,
     run_battery,
@@ -67,6 +68,51 @@ def assert_every_base_vertex_matches(g: Graph) -> None:
     assert [r for r, _, _ in entries] == bases
     for _, p, validity in entries:
         assert validity == validate_partition(g, p)
+
+
+def assert_validity_is_base_independent(g: Graph) -> None:
+    """Every eccentricity-3 base validates or none does, so the report's
+    one flag is each base's flag from the pairwise reference."""
+    edges = g.edges()
+    report = partition_report(g)
+    if oracles.diameter_by_bfs(g.n, edges) != 3:
+        assert not report["applicable"]
+        return
+    partitions = {}
+    for r in range(g.n):
+        rho = oracles.lewis_partition_by_distance(g.n, edges, r)
+        if rho is not None:
+            partitions[r] = rho
+    valid = report["validity"]["valid"]
+    assert report["base_vertices"] == [{"r": r, "valid": valid} for r in partitions]
+    for r, rho in partitions.items():
+        flags, _ = oracles.validate_partition_pairwise(g.n, edges, *rho)
+        assert all(flags) == valid, r
+    if valid:
+        p = report["partition"]
+        assert set(partitions) == set(p["rho1"]) | set(p["rho4"])
+        sides = {
+            frozenset((frozenset(rho1 | rho2), frozenset(rho3 | rho4)))
+            for rho1, rho2, rho3, rho4 in partitions.values()
+        }
+        assert len(sides) == 1
+
+
+class TestValidityIsBaseIndependent:
+    def test_every_class_up_to_7_vertices(self):
+        for n in range(1, 8):
+            for g in enumerate_nonisomorphic(n):
+                assert_validity_is_base_independent(g)
+
+    @given(random_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_random_graphs(self, g):
+        assert_validity_is_base_independent(g)
+
+    @given(joined_cliques())
+    @settings(max_examples=80, deadline=None)
+    def test_joined_cliques(self, g):
+        assert_validity_is_base_independent(g)
 
 
 class TestMaskValidationMatchesPairwise:
