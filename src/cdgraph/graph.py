@@ -8,9 +8,11 @@ this package targets.
 Distances and blocks are computed at most once per ``Graph`` and cached
 on it: each BFS distance row is filled the first time some function
 asks for it, and the block decomposition the first time cut vertices or
-blocks are asked for. The battery, the Lewis partitions and the theorem
-verdicts all read the same cached structure. The caches never enter
-``==`` or ``hash``.
+blocks are asked for. Connectivity and components are read off the
+distance rows and ``is_block`` off the block count, so ``_bfs_row`` and
+``_decompose`` are the only traversals. The battery, the Lewis
+partitions and the theorem verdicts all read the same cached structure.
+The caches never enter ``==`` or ``hash``.
 """
 
 from __future__ import annotations
@@ -126,34 +128,21 @@ def all_degrees_even(g: Graph) -> bool:
     return not any(m.bit_count() & 1 for m in g._adj)
 
 
-def _reachable_mask(adj: tuple[int, ...], start: int) -> int:
-    seen = 1 << start
-    frontier = seen
-    while frontier:
-        grown = 0
-        for v in _bits(frontier):
-            grown |= adj[v]
-        frontier = grown & ~seen
-        seen |= frontier
-    return seen
-
-
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Maximal connected vertex sets, ordered by smallest member."""
-    components = []
-    remaining = (1 << g.n) - 1
-    while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        comp = _reachable_mask(g._adj, start)
-        components.append(frozenset(_bits(comp)))
-        remaining &= ~comp
+    components: list[frozenset[int]] = []
+    assigned: set[int] = set()
+    for start in range(g.n):
+        if start not in assigned:
+            row = _distance_row(g, start)
+            comp = frozenset(v for v, d in enumerate(row) if d != INFINITY)
+            components.append(comp)
+            assigned |= comp
     return components
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    return _reachable_mask(g._adj, 0) == (1 << g.n) - 1
+    return g.n <= 1 or INFINITY not in _distance_row(g, 0)
 
 
 def _distance_row(g: Graph, source: int) -> tuple[int | float, ...]:
@@ -365,7 +354,8 @@ def cut_vertices(g: Graph) -> frozenset[int]:
 def is_block(g: Graph) -> bool:
     """Whole graph is a single block: connected and without cut vertices.
 
-    A single vertex and a single edge both count as blocks.
+    A single vertex and a single edge both count as blocks; a disconnected
+    graph or one with a cut vertex decomposes into two or more.
     """
     _require_vertices(g, "is_block")
-    return is_connected(g) and not block_decomposition(g).cut_vertices
+    return len(block_decomposition(g).blocks) == 1

@@ -289,3 +289,21 @@ class TestBattery:
         for entry in payload["checks"]:
             assert set(entry) == {"id", "verdict", "witness", "citation"}
         assert run_battery(path_graph(4)).to_json() == report.to_json()
+
+    @pytest.mark.parametrize(
+        "g, label, admissible",
+        [
+            (complete_graph(63), "<graph n=63 m=1953>", True),
+            (Graph(70, [(0, 1)]), "<graph n=70 m=1>", False),
+        ],
+        ids=["K63", "n70-one-edge"],
+    )
+    def test_label_beyond_graph6_range(self, g, label, admissible):
+        # graph6 headers stop at 62 vertices, so larger graphs are
+        # labelled by their order and size instead.
+        report = run_battery(g)
+        assert report.graph6 == label
+        assert report.overall is admissible
+        payload = json.loads(report.to_json())
+        assert payload["graph"] == label
+        assert json.dumps(payload, indent=2) == report.to_json()

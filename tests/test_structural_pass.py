@@ -4,7 +4,8 @@ Distance rows and the block decomposition are cached on each ``Graph``.
 These tests pin that the caches never change an answer: whatever public
 function touches a graph first, the structure agrees with the uncached
 oracles; callers may mutate what they get back; equality and hashing
-ignore the caches; and the mask-based Lewis validation reports exactly
+ignore the caches; once warm, connectivity, components and blocks read
+no adjacency mask; and the mask-based Lewis validation reports exactly
 the flags and witnesses of the pairwise reference in ``oracles``.
 """
 
@@ -16,19 +17,22 @@ import oracles
 from cdgraph import (
     Graph,
     block_decomposition,
+    complete_graph,
+    connected_components,
     cut_vertices,
     diameter,
     enumerate_lewis_partitions,
     enumerate_nonisomorphic,
     is_block,
+    is_connected,
     lewis_partition,
     run_battery,
     validate_partition,
 )
 from cdgraph import graph as gr
-from cdgraph.checks import check_cut_vertices, check_diameter_bound
+from cdgraph.checks import check_component_bound, check_cut_vertices, check_diameter_bound
 from cdgraph.lewis import LewisPartition, partition_report
-from conftest import cycle_graph, joined_cliques, path_graph
+from conftest import cycle_graph, disjoint_union, joined_cliques, path_graph
 
 
 @st.composite
@@ -185,6 +189,9 @@ FIRST_TOUCH = {
     "block_decomposition": block_decomposition,
     "cut_vertices": cut_vertices,
     "is_block": is_block,
+    "is_connected": is_connected,
+    "connected_components": connected_components,
+    "check_component_bound": check_component_bound,
     "check_diameter_bound": check_diameter_bound,
     "check_cut_vertices": check_cut_vertices,
     "run_battery": run_battery,
@@ -200,11 +207,56 @@ def test_structure_agrees_with_oracles_whatever_touches_first(first, g):
     FIRST_TOUCH[first](g)
     edges = g.edges()
     cuts = oracles.cut_vertices_by_removal(g.n, edges)
+    components = oracles.components(g.n, edges)
+    assert connected_components(g) == [frozenset(c) for c in components]
+    assert is_connected(g) == (len(components) == 1)
     assert diameter(g) == oracles.diameter_by_bfs(g.n, edges)
     assert set(cut_vertices(g)) == cuts
-    assert is_block(g) == (len(oracles.components(g.n, edges)) == 1 and not cuts)
+    assert is_block(g) == (len(components) == 1 and not cuts)
     for v in range(g.n):
         assert gr.bfs_distances(g, v) == oracles.distances(g.n, edges, v)
+
+
+class CountingMasks(tuple):
+    """Adjacency tuple that counts how many masks are read by index."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        cycle_graph(6),
+        path_graph(5),
+        disjoint_union(path_graph(3), cycle_graph(4)),
+        disjoint_union(complete_graph(3), Graph(1)),
+    ],
+    ids=["C6", "P5", "P3+C4", "K3+K1"],
+)
+def test_warm_connectivity_is_a_cache_read(g):
+    # Once the battery and every distance row have run, connectivity,
+    # components, blocks, diameter and the component bound are answered
+    # from the cached rows and blocks without touching the adjacency.
+    def answers(h):
+        return (
+            is_connected(h),
+            connected_components(h),
+            is_block(h),
+            diameter(h),
+            check_component_bound(h),
+        )
+
+    expected = answers(Graph.from_masks(g.n, g.adjacency_masks))
+    run_battery(g)
+    for v in range(g.n):
+        gr.bfs_distances(g, v)
+    masks = g._adj = CountingMasks(g._adj)
+    assert answers(g) == expected
+    assert masks.reads == 0
 
 
 class TestCacheIgnoredByIdentity:
