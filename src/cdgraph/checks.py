@@ -143,12 +143,12 @@ def check_component_bound(g: Graph) -> CheckResult:
 def check_diameter_bound(g: Graph) -> CheckResult:
     """Every component has diameter <= 3; witness is a pair at distance > 3."""
     for v in range(g.n):
-        dist = gr.bfs_distances(g, v)
-        if max(dist) <= 3:
-            continue
-        for u in range(v + 1, g.n):
-            if 3 < dist[u] < gr.INFINITY:
-                return _result("diameter-bound", FAIL, [v, u, dist[u]])
+        far = gr._layers(g, v)[4:]
+        above = sum(far) & -(2 << v)  # vertices u > v at distance 4 or more
+        if above:
+            low = above & -above
+            d = next(d for d, layer in enumerate(far, start=4) if layer & low)
+            return _result("diameter-bound", FAIL, [v, low.bit_length() - 1, d])
     return _result("diameter-bound", PASS)
 
 

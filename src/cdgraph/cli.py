@@ -73,10 +73,9 @@ def _read_graph(args: argparse.Namespace) -> Graph:
     else:
         with open(args.input, "r", encoding="ascii") as handle:
             text = handle.read()
-    text = text.strip()
-    if not text:
+    lines = [line.strip() for line in text.strip().splitlines()]
+    if not lines:
         raise ValueError("empty input")
-    lines = [line.strip() for line in text.splitlines()]
     fmt = args.format
     if fmt == "auto":
         fmt = "edgelist" if lines[0].lstrip("-").isdigit() else "g6"

@@ -108,18 +108,20 @@ def encode_edgelist(g: Graph) -> str:
 
 
 def decode_edgelist(text: str) -> Graph:
-    lines = [line.strip() for line in text.splitlines()]
-    lines = [line for line in lines if line]
+    # Errors name physical lines, so number them before dropping blank ones.
+    lines = [(lineno, line.strip()) for lineno, line in enumerate(text.splitlines(), start=1)]
+    lines = [(lineno, line) for lineno, line in lines if line]
     if not lines:
         raise ValueError("edge-list input is empty")
+    header = lines[0][1]
     try:
-        n = int(lines[0])
+        n = int(header)
     except ValueError:
-        raise ValueError(f"edge-list header {lines[0]!r} is not a vertex count") from None
+        raise ValueError(f"edge-list header {header!r} is not a vertex count") from None
     if n > GRAPH6_MAX_N:
         raise ValueError(f"edge-list header {n} exceeds the n <= {GRAPH6_MAX_N} vertex limit")
     edges = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")

@@ -5,14 +5,15 @@ predicates used by the solvable-group checks (degrees, distances,
 components, blocks) are single-word operations for the graph orders
 this package targets.
 
-Distances and blocks are computed at most once per ``Graph`` and cached
-on it: each BFS distance row is filled the first time some function
-asks for it, and the block decomposition the first time cut vertices or
-blocks are asked for. Connectivity and components are read off the
-distance rows and ``is_block`` off the block count, so ``_bfs_row`` and
-``_decompose`` are the only traversals. The battery, the Lewis
-partitions and the theorem verdicts all read the same cached structure.
-The caches never enter ``==`` or ``hash``.
+BFS layers and blocks are computed at most once per ``Graph`` and
+cached on it: the layers from a source (entry d masks the vertices at
+distance d) the first time some function asks for them, the block
+decomposition the first time cut vertices or blocks are asked for.
+Every distance question reads the layer masks and ``is_block`` the
+block count, so ``_bfs_layers`` and ``_decompose`` are the only
+traversals, and only ``bfs_distances`` writes out per-vertex distances.
+The battery, the Lewis partitions and the theorem verdicts all read the
+same cached structure. The caches never enter ``==`` or ``hash``.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ class Graph:
     Instances are immutable after construction and hashable, so they are
     safe to share across workers and to use as cache keys. The private
     ``_dist`` and ``_blocks`` slots are lazily filled caches of derived
-    structure (see the module docstring); equality and hashing ignore
-    them.
+    structure, BFS layer masks per source and the block decomposition
+    (see the module docstring); equality and hashing ignore them.
     """
 
     __slots__ = ("n", "_adj", "_dist", "_blocks")
@@ -57,7 +58,7 @@ class Graph:
             adj[v] |= 1 << u
         self.n: int = n
         self._adj: tuple[int, ...] = tuple(adj)
-        self._dist: list[tuple[int | float, ...] | None] | None = None
+        self._dist: list[tuple[int, ...] | None] | None = None
         self._blocks: BlockDecomposition | None = None
 
     @classmethod
@@ -131,43 +132,41 @@ def all_degrees_even(g: Graph) -> bool:
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Maximal connected vertex sets, ordered by smallest member."""
     components: list[frozenset[int]] = []
-    assigned: set[int] = set()
-    for start in range(g.n):
-        if start not in assigned:
-            row = _distance_row(g, start)
-            comp = frozenset(v for v, d in enumerate(row) if d != INFINITY)
-            components.append(comp)
-            assigned |= comp
+    unassigned = (1 << g.n) - 1
+    while unassigned:
+        component = sum(_layers(g, (unassigned & -unassigned).bit_length() - 1))
+        components.append(frozenset(_bits(component)))
+        unassigned ^= component
     return components
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or INFINITY not in _distance_row(g, 0)
+    return g.n <= 1 or sum(_layers(g, 0)) == (1 << g.n) - 1
 
 
-def _distance_row(g: Graph, source: int) -> tuple[int | float, ...]:
-    """Cached BFS distances from ``source`` (unchecked; callers validate)."""
-    rows = g._dist
-    if rows is None:
-        rows = g._dist = [None] * g.n
-    row = rows[source]
-    if row is None:
-        row = rows[source] = _bfs_row(g._adj, g.n, source)
-    return row
+def _layers(g: Graph, source: int) -> tuple[int, ...]:
+    """Cached BFS layers from ``source``: entry d is the mask of the
+    vertices at distance d, and unreachable vertices are in no entry
+    (unchecked; callers validate)."""
+    cache = g._dist
+    if cache is None:
+        cache = g._dist = [None] * g.n
+    layers = cache[source]
+    if layers is None:
+        layers = cache[source] = _bfs_layers(g._adj, g.n, source)
+    return layers
 
 
-def _bfs_row(adj: tuple[int, ...], n: int, source: int) -> tuple[int | float, ...]:
+def _bfs_layers(adj: tuple[int, ...], n: int, source: int) -> tuple[int, ...]:
     # Direction-optimizing BFS (Beamer, Asanovic and Patterson, SC 2012):
     # expand the frontier top-down while it is the smaller side, else let
     # each unseen vertex look for a frontier neighbor. On the dense
     # graphs the battery sees, the frontier after one step is most of
     # the graph and the unseen side is a handful of vertices.
-    dist: list[int | float] = [INFINITY] * n
-    dist[source] = 0
-    unseen = ((1 << n) - 1) ^ (1 << source)
     frontier = 1 << source
-    d = 0
-    while frontier and unseen:
+    unseen = ((1 << n) - 1) ^ frontier
+    layers = [frontier]
+    while unseen:
         nxt = 0
         if frontier.bit_count() <= unseen.bit_count():
             while frontier:
@@ -182,31 +181,35 @@ def _bfs_row(adj: tuple[int, ...], n: int, source: int) -> tuple[int | float, ..
                 if adj[low.bit_length() - 1] & frontier:
                     nxt |= low
                 rest ^= low
+        if not nxt:
+            break
         unseen ^= nxt
         frontier = nxt
-        d += 1
-        while nxt:
-            low = nxt & -nxt
-            dist[low.bit_length() - 1] = d
-            nxt ^= low
-    return tuple(dist)
+        layers.append(nxt)
+    return tuple(layers)
 
 
 def bfs_distances(g: Graph, source: int) -> list[int | float]:
     """Shortest-path distances from ``source``; unreachable -> inf.
 
-    The list is a fresh copy of the graph's cached row, so callers may
+    The only place a per-vertex distance list is built: a fresh list
+    per call, written out from the cached BFS layers, so callers may
     mutate it.
     """
     if not 0 <= source < g.n:
         raise ValueError(f"vertex {source} out of range 0..{g.n - 1}")
-    return list(_distance_row(g, source))
+    dist: list[int | float] = [INFINITY] * g.n
+    for d, layer in enumerate(_layers(g, source)):
+        for v in _bits(layer):
+            dist[v] = d
+    return dist
 
 
 def eccentricity(g: Graph, v: int) -> int | float:
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")
-    return max(_distance_row(g, v))
+    layers = _layers(g, v)
+    return len(layers) - 1 if sum(layers) == (1 << g.n) - 1 else INFINITY
 
 
 def diameter(g: Graph) -> int | float:
@@ -214,7 +217,7 @@ def diameter(g: Graph) -> int | float:
     _require_vertices(g, "diameter")
     if not is_connected(g):
         return INFINITY
-    return max(max(_distance_row(g, v)) for v in range(g.n))
+    return max(len(_layers(g, v)) for v in range(g.n)) - 1
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

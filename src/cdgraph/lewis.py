@@ -13,8 +13,8 @@ induce complete subgraphs, rho1 has no edge into rho3+rho4, rho4 none
 into rho1+rho2, and rho2/rho3 are mutually linked. ``validate_partition``
 re-checks all five properties with witnesses, since arbitrary inputs
 need not satisfy them. Partitions are read off the graph's cached BFS
-rows, and each property is tested with one adjacency-mask operation per
-vertex.
+layer masks (rho3 and rho4 are the layers at distance 2 and 3), and
+each property is tested with one adjacency-mask operation per vertex.
 
 Theorem checks on graphs that pass the necessary-condition battery but
 are not genuine degree graphs may legitimately fail; such outcomes are
@@ -130,23 +130,15 @@ class TheoremVerdict:
 
 def lewis_partition(g: Graph, r: int) -> LewisPartition | None:
     """Distance partition from base vertex r, or None when inapplicable
-    (graph disconnected or eccentricity of r differs from 3)."""
-    if not 0 <= r < g.n:
-        raise ValueError(f"vertex {r} out of range 0..{g.n - 1}")
-    dist = gr.bfs_distances(g, r)
-    if max(dist) != 3:  # an unreachable vertex makes the maximum inf
+    (graph disconnected or eccentricity of r differs from 3). An r
+    outside 0..n-1 is refused by ``eccentricity``."""
+    if gr.eccentricity(g, r) != 3:  # inf when some vertex is unreachable
         return None
-    by_distance: tuple[list[int], ...] = ([], [], [], [])
-    for v, d in enumerate(dist):
-        by_distance[d].append(v)
-    _, neighbors, rho3, rho4 = by_distance
+    _, neighbors, rho3, rho4 = gr._layers(g, r)
     adj = g.adjacency_masks
-    rho3_mask = _mask(rho3)
-    rho2 = [v for v in neighbors if adj[v] & rho3_mask]
-    rho1 = [r] + [v for v in neighbors if not adj[v] & rho3_mask]
-    return LewisPartition(
-        r, rho4[0], frozenset(rho1), frozenset(rho2), frozenset(rho3), frozenset(rho4)
-    )
+    rho2 = sum(1 << v for v in _bits(neighbors) if adj[v] & rho3)
+    rho1 = (neighbors ^ rho2) | 1 << r
+    return LewisPartition(r, _low(rho4), *(frozenset(_bits(m)) for m in (rho1, rho2, rho3, rho4)))
 
 
 def _mask(vertices: Iterable[int]) -> int:

@@ -93,11 +93,20 @@ class TestDiameterBound:
         g = disjoint_union(path_graph(4), complete_graph(2))
         assert check_diameter_bound(g).verdict == PASS
 
-    def test_witness_is_a_far_pair(self):
-        result = check_diameter_bound(path_graph(6))
+    @pytest.mark.parametrize(
+        "g, witness",
+        [
+            (path_graph(6), [0, 4, 4]),
+            (disjoint_union(complete_graph(2), path_graph(7)), [2, 6, 4]),
+        ],
+        ids=["P6", "K2+P7"],
+    )
+    def test_witness_is_a_far_pair(self, g, witness):
+        result = check_diameter_bound(g)
         assert result.verdict == FAIL
-        u, v, dist = result.witness
-        assert oracles.distances(6, path_graph(6).edges(), u)[v] == dist > 3
+        assert result.witness == witness
+        u, v, dist = witness
+        assert oracles.distances(g.n, g.edges(), u)[v] == dist > 3
 
 
 class TestForbiddenP4:

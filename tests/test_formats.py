@@ -13,6 +13,7 @@ from cdgraph import (
     figure2_graph,
     run_battery,
 )
+from cdgraph.cli import main
 from conftest import graphs, path_graph
 
 
@@ -113,6 +114,22 @@ class TestEdgeList:
     def test_empty(self):
         with pytest.raises(ValueError):
             decode_edgelist("\n\n")
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [("3\n\n0 1\nx y\n", 4), ("\n3\n0 1\n\n\nx y\n", 6)],
+        ids=["blank-before-bad-line", "blank-before-header"],
+    )
+    def test_error_names_the_physical_line(self, text, lineno, tmp_path, capsys):
+        message = f"line {lineno}: non-integer endpoint in 'x y'"
+        with pytest.raises(ValueError) as excinfo:
+            decode_edgelist(text)
+        assert str(excinfo.value) == message
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
 
     def test_header_bounded_by_graph6_range(self):
         assert decode_edgelist("62\n0 61\n").n == 62

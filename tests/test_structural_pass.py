@@ -1,13 +1,17 @@
 """One structural pass per graph.
 
-Distance rows and the block decomposition are cached on each ``Graph``.
+BFS layer masks and the block decomposition are cached on each
+``Graph``; only ``bfs_distances`` writes out a per-vertex distance list.
 These tests pin that the caches never change an answer: whatever public
-function touches a graph first, the structure agrees with the uncached
-oracles; callers may mutate what they get back; equality and hashing
+function touches a graph first, the distances, eccentricities,
+diameter-bound witness and structure agree with the uncached oracles;
+callers may mutate what they get back; equality and hashing
 ignore the caches; once warm, connectivity, components and blocks read
 no adjacency mask; and the mask-based Lewis validation reports exactly
 the flags and witnesses of the pairwise reference in ``oracles``.
 """
+
+from math import inf
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +69,7 @@ def assert_every_base_vertex_matches(g: Graph) -> None:
             continue
         bases.append(r)
         assert (p.rho1, p.rho2, p.rho3, p.rho4) == tuple(map(frozenset, expected))
+        assert p.r == r and p.s == min(expected[3])
         assert_matches_pairwise_reference(g, p)
     if oracles.diameter_by_bfs(g.n, edges) != 3:
         bases = []
@@ -213,8 +218,14 @@ def test_structure_agrees_with_oracles_whatever_touches_first(first, g):
     assert diameter(g) == oracles.diameter_by_bfs(g.n, edges)
     assert set(cut_vertices(g)) == cuts
     assert is_block(g) == (len(components) == 1 and not cuts)
+    far_pair = None
     for v in range(g.n):
-        assert gr.bfs_distances(g, v) == oracles.distances(g.n, edges, v)
+        dist = oracles.distances(g.n, edges, v)
+        assert gr.bfs_distances(g, v) == dist
+        assert gr.eccentricity(g, v) == max(dist)
+        if far_pair is None:
+            far_pair = next(([v, u, d] for u, d in enumerate(dist) if u > v and 3 < d < inf), None)
+    assert check_diameter_bound(g).witness == far_pair
 
 
 class CountingMasks(tuple):
