@@ -7,16 +7,27 @@ relabeling, computed in two stages:
    counting each vertex's neighbors in every color cell: vertices are
    partitioned into color classes whose identifiers depend only on the
    isomorphism type, never on the input labeling;
-2. a tie-branching search for the lexicographically smallest
-   upper-triangle bit string over all vertex orders that list the color
-   classes in canonical order and permute freely inside each class.
+2. a depth-first branch-and-bound search for the lexicographically
+   smallest upper-triangle bit string over all vertex orders that list
+   the color classes in canonical order and permute freely inside each
+   class.
 
-Stage 2 branches only on candidates that tie for the minimal next code
-row, and prunes tied candidates that are interchangeable by a
-transposition automorphism (twins), which keeps highly symmetric inputs
-such as complete graphs linear. Exactness for the package's working
-range is cross-checked in the test suite against brute-force
-permutation search and against known isomorphism-class counts.
+Stage 2 extends an order one position at a time, taking forced steps
+(one candidate with the minimal next row) in a loop, branching only on
+candidates that tie, and abandoning a branch as soon as its next row
+exceeds the best code's row there. Two complete orders with equal codes
+give an automorphism of the graph (McKay and Piperno 2014): it is kept
+as a generator, and the search backtracks to where the two orders part,
+because it maps the explored branch there onto the current one. At a tie
+it skips candidates in the orbit of an explored one under the stored
+generators that fix the current prefix pointwise, and under the
+transpositions of twins, which prune before any automorphism is known.
+Every pruning step maps skipped orders onto explored ones with the same
+code, so the minimum, and every form, is the one an exhaustive search
+over the same orders finds. Exactness for the package's working range is
+cross-checked in the test suite against brute-force permutation search,
+a breadth-first frontier search over the same orders, and known
+isomorphism-class counts.
 """
 
 from __future__ import annotations
@@ -55,11 +66,19 @@ def refined_colors(n: int, adj: tuple[int, ...]) -> list[int]:
     return color
 
 
-def _twins(adj: tuple[int, ...], u: int, v: int) -> bool:
-    # Swapping u and v is an automorphism iff their adjacencies agree
-    # everywhere off {u, v}.
-    mask = ~((1 << u) | (1 << v))
-    return (adj[u] ^ adj[v]) & mask == 0
+def _orbits(seeds: int, generators: list[list[int]]) -> int:
+    # The union of the orbits of the vertices in ``seeds`` under the
+    # group the generators generate, as a mask.
+    mask = seeds
+    todo = [v for v in range(mask.bit_length()) if mask >> v & 1]
+    while todo:
+        v = todo.pop()
+        for perm in generators:
+            w = perm[v]
+            if not mask >> w & 1:
+                mask |= 1 << w
+                todo.append(w)
+    return mask
 
 
 def _min_code_rows(n: int, adj: tuple[int, ...]) -> list[int]:
@@ -67,40 +86,97 @@ def _min_code_rows(n: int, adj: tuple[int, ...]) -> list[int]:
     classes: list[list[int]] = [[] for _ in range(max(color) + 1)]
     for v, c in enumerate(color):
         classes[c].append(v)
+    position_members = [members for members in classes for _ in members]
 
-    position_class: list[int] = []
-    for ci, members in enumerate(classes):
-        position_class.extend([ci] * len(members))
+    best_rows: list[int] = []
+    best_order: list[int] = []
+    generators: list[list[int]] = []
 
-    # Frontier of partial orders, all realizing the minimal code so far.
-    frontier: list[tuple[tuple[int, ...], int]] = [((), 0)]
-    rows: list[int] = []
-    for pos in range(n):
-        members = classes[position_class[pos]]
-        best = -1
-        new_frontier: list[tuple[tuple[int, ...], int]] = []
-        for order, used in frontier:
-            accepted: list[int] = []
-            for v in members:
+    def search(order: list[int], rows: list[int], used: int, tight: bool) -> int:
+        # Extend ``order`` depth-first and return the position to
+        # backtrack to: n, or the position where an automorphism just
+        # found maps an explored branch onto the current one. ``tight``
+        # says that the code so far equals the best code's prefix.
+        pos = len(order)
+        while pos < n:
+            least = -1
+            tied: list[int] = []
+            for v in position_members[pos]:
                 if used >> v & 1:
                     continue
                 av = adj[v]
                 row = 0
                 for u in order:
                     row = row << 1 | (av >> u & 1)
-                if best < 0 or row < best:
-                    best = row
-                    new_frontier = [(order + (v,), used | 1 << v)]
-                    accepted = [v]
-                elif row == best:
-                    if any(_twins(adj, w, v) for w in accepted):
-                        continue
-                    new_frontier.append((order + (v,), used | 1 << v))
-                    accepted.append(v)
-        if pos > 0:
-            rows.append(best)
-        frontier = new_frontier
-    return rows
+                if least < 0 or row < least:
+                    least = row
+                    tied = [v]
+                elif row == least:
+                    tied.append(v)
+            if tight:
+                if least > best_rows[pos]:
+                    return n
+                tight = least == best_rows[pos]
+            if len(tied) > 1:
+                break
+            order.append(tied[0])
+            rows.append(least)
+            used |= 1 << tied[0]
+            pos += 1
+        else:
+            if not tight:
+                best_rows[:] = rows
+                best_order[:] = order
+                return n
+            # Equal codes: best_order[i] -> order[i] is an automorphism.
+            # It maps the explored branch at the first position where the
+            # orders differ onto the current one, so search resumes there.
+            perm = list(range(n))
+            for b, v in zip(best_order, order):
+                perm[b] = v
+            generators.append(perm)
+            level = 0
+            while best_order[level] == order[level]:
+                level += 1
+            return level
+
+        rows.append(least)
+        # Skip candidates in the orbit of an explored one, under the
+        # stored automorphisms that fix ``order`` and under the swaps of
+        # twins.
+        skip = 0
+        fixing: list[list[int]] = []
+        seen = 0
+        for v in tied:
+            if seen < len(generators):
+                fixing += [p for p in generators[seen:] if all(p[u] == u for u in order)]
+                seen = len(generators)
+                skip = _orbits(skip, fixing)
+            if skip >> v & 1:
+                continue
+            av = adj[v]
+            for w in tied:
+                # Marks v and its twins: swapping v and w is an
+                # automorphism iff their adjacencies agree off {v, w}.
+                if (av ^ adj[w]) & ~(1 << v | 1 << w) == 0:
+                    skip |= 1 << w
+            if fixing:
+                skip = _orbits(skip, fixing)
+            order.append(v)
+            level = search(order, rows, used | 1 << v, tight)
+            del order[pos:]
+            del rows[pos + 1 :]
+            if level < pos:
+                return level
+            # The best code now shares the prefix through this position.
+            tight = True
+        return n
+
+    search([], [], 0, False)
+    # ``search`` refers to itself; deleting it frees the closure at once
+    # instead of leaving a cycle to the garbage collector.
+    del search
+    return best_rows[1:]
 
 
 def canonical_form(g: Graph) -> bytes:

@@ -136,6 +136,62 @@ def refined_colors_by_sorted_neighbors(n: int, edges) -> list[int]:
         color = new
 
 
+def min_code_rows_by_frontier(n: int, edges) -> list[int]:
+    """The minimal code rows by a breadth-first frontier search over the
+    package's vertex orders: keep every partial order that realizes the
+    minimal code so far, position by position, pruning only twins. Rows
+    are those of ``graph6_bytes_from_rows``; the package's depth-first
+    search must return exactly these. Exponential on vertex-transitive
+    graphs; keep n small."""
+    adj = [0] * n
+    for u, v in normalize(edges):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+
+    def _twins(adj, u, v):
+        mask = ~((1 << u) | (1 << v))
+        return (adj[u] ^ adj[v]) & mask == 0
+
+    color = refined_colors_by_sorted_neighbors(n, edges)
+    classes: list[list[int]] = [[] for _ in range(max(color) + 1)]
+    for v, c in enumerate(color):
+        classes[c].append(v)
+
+    position_class: list[int] = []
+    for ci, members in enumerate(classes):
+        position_class.extend([ci] * len(members))
+
+    # Frontier of partial orders, all realizing the minimal code so far.
+    frontier: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    rows: list[int] = []
+    for pos in range(n):
+        members = classes[position_class[pos]]
+        best = -1
+        new_frontier: list[tuple[tuple[int, ...], int]] = []
+        for order, used in frontier:
+            accepted: list[int] = []
+            for v in members:
+                if used >> v & 1:
+                    continue
+                av = adj[v]
+                row = 0
+                for u in order:
+                    row = row << 1 | (av >> u & 1)
+                if best < 0 or row < best:
+                    best = row
+                    new_frontier = [(order + (v,), used | 1 << v)]
+                    accepted = [v]
+                elif row == best:
+                    if any(_twins(adj, w, v) for w in accepted):
+                        continue
+                    new_frontier.append((order + (v,), used | 1 << v))
+                    accepted.append(v)
+        if pos > 0:
+            rows.append(best)
+        frontier = new_frontier
+    return rows
+
+
 def count_isomorphism_classes(n: int) -> int:
     """Partition all labeled graphs on n vertices into permutation
     orbits and count the orbits. Feasible through n = 6."""

@@ -1,6 +1,7 @@
 import hashlib
 import random
-from itertools import combinations
+import time
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from cdgraph import (
     enumerate_nonisomorphic,
     is_isomorphic,
 )
-from cdgraph.canonical import refined_colors
+from cdgraph.canonical import _min_code_rows, refined_colors
 from cdgraph.formats import graph6_bytes_from_rows
 from conftest import cycle_graph, disjoint_union, graph_from_mask, graphs, path_graph
 
@@ -46,6 +47,40 @@ def blow_up(base: Graph, sizes: list[int], cliques: list[bool]) -> Graph:
     return Graph(sum(sizes), edges)
 
 
+def cube(d: int) -> Graph:
+    n = 1 << d
+    return Graph(n, [(u, u | 1 << i) for u in range(n) for i in range(d) if not u >> i & 1])
+
+
+def paley(q: int) -> Graph:
+    squares = {x * x % q for x in range(1, q)}
+    return Graph(q, [(i, j) for i, j in combinations(range(q), 2) if (j - i) % q in squares])
+
+
+def petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, outer + inner + [(i, i + 5) for i in range(5)])
+
+
+def rook(k: int) -> Graph:
+    """K_k x K_k: cells of a k x k board, adjacent in a shared row or column."""
+    cells = combinations(range(k * k), 2)
+    return Graph(k * k, [(a, b) for a, b in cells if a // k == b // k or a % k == b % k])
+
+
+def shrikhande() -> Graph:
+    """Cayley graph of Z4 x Z4 on {±(0,1), ±(1,0), ±(1,1)}: strongly
+    regular with the parameters of the 4 x 4 rook's graph."""
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    cells = list(product(range(4), repeat=2))
+    return Graph(16, [
+        (a, b)
+        for a, b in combinations(range(16), 2)
+        if ((cells[b][0] - cells[a][0]) % 4, (cells[b][1] - cells[a][1]) % 4) in steps
+    ])
+
+
 @st.composite
 def refinement_inputs(draw) -> Graph:
     """Graphs up to n = 62 of the shapes refinement meets: random,
@@ -69,6 +104,47 @@ def refinement_inputs(draw) -> Graph:
     base = random_graph(rng, rng.randint(1, 10), rng.random())
     sizes = [rng.randint(1, 6) for _ in range(base.n)]
     return blow_up(base, sizes, [rng.random() < 0.5 for _ in range(base.n)])
+
+
+@st.composite
+def search_inputs(draw) -> Graph:
+    """Relabeled graphs up to n = 12 of the shapes the minimal-code
+    search branches on: random, circulant, twin blow-ups and joins."""
+    kind = draw(st.sampled_from(("random", "circulant", "twins", "join")))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "random":
+        g = random_graph(rng, rng.randint(2, 12), rng.random())
+    elif kind == "circulant":
+        m = rng.randint(3, 12)
+        g = circulant(m, rng.sample(range(1, m // 2 + 1), rng.randint(1, max(1, m // 4))))
+    elif kind == "twins":
+        base = random_graph(rng, rng.randint(1, 5), rng.random())
+        sizes = [rng.randint(1, 12 // base.n) for _ in range(base.n)]
+        g = blow_up(base, sizes, [rng.random() < 0.5 for _ in range(base.n)])
+    else:
+        a = random_graph(rng, rng.randint(1, 6), rng.random())
+        g = direct_product(a, random_graph(rng, rng.randint(1, 6), rng.random()))
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return permuted(g, perm)
+
+
+def named_symmetric() -> dict[str, Graph]:
+    """Vertex-transitive and twin-heavy graphs on which the search
+    branches most."""
+    named = {f"C{m}": cycle_graph(m) for m in range(10, 14)}
+    named.update(
+        Petersen=petersen(),
+        Paley13=paley(13),
+        Paley17=paley(17),
+        rook3=rook(3),
+        rook4=rook(4),
+        Shrikhande=shrikhande(),
+        Q3=cube(3),
+        K44=Graph(8, [(u, v + 4) for u in range(4) for v in range(4)]),
+        C5_twins=blow_up(cycle_graph(5), [2, 3, 1, 2, 2], [True, False, False, True, False]),
+    )
+    return named
 
 
 class TestIsomorphism:
@@ -155,7 +231,7 @@ class TestCanonicalExactness:
 
     def test_highly_symmetric_graphs(self):
         # Vertex-transitive inputs stress the tie-branching search.
-        q3 = Graph(8, [(u, v) for u, v in combinations(range(8), 2) if bin(u ^ v).count("1") == 1])
+        q3 = cube(3)
         k44 = Graph(8, [(u, v + 4) for u in range(4) for v in range(4)])
         rng = random.Random(3)
         for g in (q3, k44, complete_graph(8), Graph(8)):
@@ -165,6 +241,44 @@ class TestCanonicalExactness:
                 rng.shuffle(perm)
                 assert canonical_form(permuted(g, perm)) == form
         assert not is_isomorphic(q3, k44)
+
+    @pytest.mark.parametrize(
+        "g, shuffles",
+        [
+            pytest.param(cycle_graph(14), 5, id="C14"),
+            pytest.param(rook(4), 5, id="rook4"),
+            pytest.param(shrikhande(), 5, id="Shrikhande"),
+            pytest.param(cycle_graph(16), 2, id="C16"),
+        ],
+    )
+    def test_invariance_on_vertex_transitive_graphs(self, g, shuffles):
+        rng = random.Random(g.n * shuffles)
+        form = canonical_form(g)
+        for _ in range(shuffles):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_form(permuted(g, perm)) == form
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (rook(4), shrikhande()),
+            (cycle_graph(12), disjoint_union(cycle_graph(6), cycle_graph(6))),
+        ],
+        ids=["rook4-vs-Shrikhande", "C12-vs-2C6"],
+    )
+    def test_separates_pairs_refinement_cannot(self, a, b):
+        # Both graphs of each pair are regular of one degree, so
+        # refinement leaves one color class; only the search tells them apart.
+        assert refined_colors(a.n, a.adjacency_masks) == refined_colors(b.n, b.adjacency_masks)
+        assert canonical_form(a) != canonical_form(b)
+
+    def test_c16_finishes_in_seconds(self):
+        # The breadth-first frontier needed about 9 s here; automorphism
+        # pruning keeps it well under a second on the same machine.
+        start = time.perf_counter()
+        canonical_form(cycle_graph(16))
+        assert time.perf_counter() - start < 5.0
 
 
 class TestByteIdentity:
@@ -196,3 +310,28 @@ class TestByteIdentity:
         forms = sorted(canonical_form(g) for g in enumerate_nonisomorphic(7))
         digest = hashlib.sha256(b"\n".join(forms)).hexdigest()
         assert digest == "cf43d74eea2e83dd129ee163ab4ba9c0f95efd52978be61a3b45e8d9557307a0"
+
+    def test_n8_forms_digest(self):
+        # sha256 of the 12,346 sorted n = 8 forms joined by newlines, as
+        # computed with the breadth-first frontier search.
+        forms = sorted(canonical_form(g) for g in enumerate_nonisomorphic(8))
+        assert len(forms) == 12346
+        digest = hashlib.sha256(b"\n".join(forms)).hexdigest()
+        assert digest == "3e503c8c6bec0555cca2382d86a1bb2ede4f18a9e854b4caed44bad3415cacb5"
+
+    @given(search_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_min_code_rows_match_frontier_reference(self, g):
+        expected = oracles.min_code_rows_by_frontier(g.n, g.edges())
+        assert _min_code_rows(g.n, g.adjacency_masks) == expected
+
+    @pytest.mark.parametrize("name", sorted(named_symmetric()))
+    def test_min_code_rows_match_frontier_on_symmetric_graphs(self, name):
+        g = named_symmetric()[name]
+        expected = oracles.min_code_rows_by_frontier(g.n, g.edges())
+        rng = random.Random(name)
+        for _ in range(3):
+            assert _min_code_rows(g.n, g.adjacency_masks) == expected
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            g = permuted(g, perm)
