@@ -10,8 +10,7 @@ the graph.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import graph as gr
 from .formats import GRAPH6_MAX_N, encode_graph6
@@ -31,8 +30,7 @@ CITATIONS = {
     "fitting-height": "Theorem 2.6: two nonadjacent vertices of degree < n-2 force Fitting height >= 3",
 }
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check: str
     verdict: str
     witness: Any
@@ -47,8 +45,7 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class Inference:
+class Inference(NamedTuple):
     note: str
     witness: tuple[int, int]
     citation: str
@@ -61,8 +58,7 @@ class Inference:
         }
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     graph6: str
     results: tuple[CheckResult, ...]
     inferences: tuple[Inference, ...]

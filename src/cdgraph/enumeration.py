@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from . import graph as gr
 from . import lewis
@@ -68,8 +67,7 @@ def enumerate_admissible(n: int) -> Iterator[tuple[Graph, CheckReport]]:
             yield g, report
 
 
-@dataclass(frozen=True)
-class EnumerationSummary:
+class EnumerationSummary(NamedTuple):
     n: int
     total_nonisomorphic: int
     admissible: int

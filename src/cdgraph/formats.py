@@ -118,9 +118,11 @@ def decode_edgelist(text: str) -> Graph:
         n = int(header)
     except ValueError:
         raise ValueError(f"edge-list header {header!r} is not a vertex count") from None
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
     if n > GRAPH6_MAX_N:
         raise ValueError(f"edge-list header {n} exceeds the n <= {GRAPH6_MAX_N} vertex limit")
-    edges = []
+    masks = [0] * n
     for lineno, line in lines[1:]:
         parts = line.split()
         if len(parts) != 2:
@@ -129,5 +131,10 @@ def decode_edgelist(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer endpoint in {line!r}") from None
-        edges.append((u, v))
-    return Graph(n, edges)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"line {lineno}: edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+        if u == v:
+            raise ValueError(f"line {lineno}: self-loop ({u}, {v}) is not allowed")
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return Graph.from_masks(n, masks)

@@ -19,8 +19,7 @@ same cached structure. The caches never enter ``==`` or ``hash``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 INFINITY = math.inf
 
@@ -263,8 +262,7 @@ def is_eulerian(g: Graph) -> bool:
     return is_connected(g) and all_degrees_even(g)
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     """Blocks (maximal 2-connected subgraphs, bridge edges, or isolated
     vertices) together with the cut vertices."""
 

@@ -23,9 +23,8 @@ verdicts ("discrepancy"), never exceptions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from . import graph as gr
 from .checks import NOT_APPLICABLE, PASS
@@ -41,8 +40,7 @@ VACUOUS_PASS = "vacuous-pass"
 DISCREPANCY = "discrepancy"
 
 
-@dataclass(frozen=True)
-class LewisPartition:
+class LewisPartition(NamedTuple):
     r: int
     s: int
     rho1: frozenset[int]
@@ -61,8 +59,7 @@ class LewisPartition:
         }
 
 
-@dataclass(frozen=True)
-class PartitionValidity:
+class PartitionValidity(NamedTuple):
     rho12_complete: bool
     rho34_complete: bool
     no_rho1_to_rho34_edges: bool
@@ -92,8 +89,7 @@ class PartitionValidity:
         }
 
 
-@dataclass(frozen=True)
-class OddDegreeVerdict:
+class OddDegreeVerdict(NamedTuple):
     is_all_odd: bool
     is_block: bool
     rho12_even: bool
@@ -114,8 +110,7 @@ class OddDegreeVerdict:
         }
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
+class TheoremVerdict(NamedTuple):
     theorem: str
     verdict: str
     details: tuple[tuple[str, Any], ...] = ()

@@ -57,6 +57,34 @@ def joined_cliques(draw, max_n: int = 30):
     return Graph(n, [(perm[u], perm[v]) for u, v in cliques | links])
 
 
+@st.composite
+def even_linked_cliques(draw, max_n: int = 30):
+    """Cliques A = 0..a-1 and B = a..n-1 of even sizes, linked by the
+    symmetric difference of random K2,2 pieces, shuffled.
+
+    Every vertex keeps an even number of links, and vertex 0 and vertex
+    n-1 get none, so whenever some link survives the graph has diameter
+    3 and every degree odd. An optional last K1,1, K1,2 or K2,1 piece
+    makes some link counts odd on one side or on both.
+    """
+    a = 2 * draw(st.integers(min_value=2, max_value=max_n // 2 - 2))
+    b = 2 * draw(st.integers(min_value=2, max_value=(max_n - a) // 2))
+    n = a + b
+    rng = draw(st.randoms(use_true_random=False))
+    pieces = [(2, 2)] * draw(st.integers(min_value=1, max_value=4))
+    if draw(st.booleans()):
+        pieces.append(draw(st.sampled_from([(1, 1), (1, 2), (2, 1)])))
+    links: set[tuple[int, int]] = set()
+    for i, j in pieces:
+        us, vs = rng.sample(range(1, a), i), rng.sample(range(a, n - 1), j)
+        links ^= {(u, v) for u in us for v in vs}
+    cliques = {(u, v) for u in range(a) for v in range(u + 1, a)}
+    cliques |= {(u, v) for u in range(a, n) for v in range(u + 1, n)}
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in cliques | links])
+
+
 @pytest.fixture(scope="session")
 def small_corpus() -> list[Graph]:
     """A spread of named graphs exercising every structural case."""

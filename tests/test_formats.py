@@ -116,12 +116,17 @@ class TestEdgeList:
             decode_edgelist("\n\n")
 
     @pytest.mark.parametrize(
-        "text, lineno",
-        [("3\n\n0 1\nx y\n", 4), ("\n3\n0 1\n\n\nx y\n", 6)],
-        ids=["blank-before-bad-line", "blank-before-header"],
+        "text, lineno, detail",
+        [
+            ("3\n\n0 1\nx y\n", 4, "non-integer endpoint in 'x y'"),
+            ("\n3\n0 1\n\n\nx y\n", 6, "non-integer endpoint in 'x y'"),
+            ("4\n0 1\n\n1 9\n", 4, "edge (1, 9) has an endpoint outside 0..3"),
+            ("4\n0 1\n\n2 2\n", 4, "self-loop (2, 2) is not allowed"),
+        ],
+        ids=["blank-before-bad-line", "blank-before-header", "endpoint-out-of-range", "self-loop"],
     )
-    def test_error_names_the_physical_line(self, text, lineno, tmp_path, capsys):
-        message = f"line {lineno}: non-integer endpoint in 'x y'"
+    def test_error_names_the_physical_line(self, text, lineno, detail, tmp_path, capsys):
+        message = f"line {lineno}: {detail}"
         with pytest.raises(ValueError) as excinfo:
             decode_edgelist(text)
         assert str(excinfo.value) == message
@@ -135,6 +140,10 @@ class TestEdgeList:
         assert decode_edgelist("62\n0 61\n").n == 62
         with pytest.raises(ValueError, match="n <= 62"):
             decode_edgelist("63\n0 1\n")
+
+    def test_negative_header_refused_before_its_edges(self):
+        with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+            decode_edgelist("-1\n0 1\n")
 
     def test_out_of_range_edge_propagates(self):
         with pytest.raises(ValueError):

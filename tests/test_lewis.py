@@ -2,7 +2,7 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, find, given, settings
 from hypothesis import strategies as st
 
 from cdgraph import (
@@ -25,7 +25,7 @@ from cdgraph import (
     verify_section_3,
 )
 from cdgraph import lewis
-from cdgraph import cut_vertices, decode_graph6, diameter, is_connected, run_battery
+from cdgraph import all_degrees_odd, cut_vertices, decode_graph6, diameter, is_connected, run_battery
 from cdgraph.lewis import (
     DISCREPANCY,
     EULERIAN_EVEN_ONLY,
@@ -40,7 +40,14 @@ from cdgraph.lewis import (
     partition_report,
     rho23_predicate,
 )
-from conftest import cycle_graph, disjoint_union, graphs, joined_cliques, path_graph
+from conftest import (
+    cycle_graph,
+    disjoint_union,
+    even_linked_cliques,
+    graphs,
+    joined_cliques,
+    path_graph,
+)
 
 
 def two_k4_linked(cross):
@@ -199,6 +206,43 @@ class TestTheorem32:
             if validity.valid:
                 for mode in RHO23_PREDICATES:
                     assert check_theorem_3_2(g, p, mode).characterization_holds
+
+
+# Clique-clique-links graphs up to the 62-vertex limit. The
+# even-sized cliques with even linking supply the all-odd graphs that
+# random linking almost never produces.
+LINKED_CLIQUES = st.one_of(joined_cliques(max_n=62), even_linked_cliques(max_n=62))
+
+
+class TestPartitionIdentities:
+    """The graph-side identities every valid partition satisfies (README,
+    "Odd-degree characterization findings", gives the proofs)."""
+
+    @given(LINKED_CLIQUES)
+    @settings(max_examples=150, deadline=None)
+    def test_all_odd_iff_side_parities_and_linking_parity(self, g):
+        found = first_valid_partition(g)
+        assume(found is not None)
+        p, _ = found
+        sides_even = len(p.rho1 | p.rho2) % 2 == 0 and len(p.rho3 | p.rho4) % 2 == 0
+        assert all_degrees_odd(g) == (sides_even and even_cross_degrees(g, p))
+
+    @given(LINKED_CLIQUES)
+    @settings(max_examples=150, deadline=None)
+    def test_cut_vertices_are_the_singleton_linking_sides(self, g):
+        found = first_valid_partition(g)
+        assume(found is not None)
+        p, _ = found
+        singletons = [side for side in (p.rho2, p.rho3) if len(side) == 1]
+        assert cut_vertices(g) == frozenset().union(*singletons)
+
+    @pytest.mark.parametrize("all_odd", [True, False])
+    def test_draws_reach_both_sides_of_the_biconditional(self, all_odd):
+        find(
+            LINKED_CLIQUES,
+            lambda g: first_valid_partition(g) is not None and all_degrees_odd(g) == all_odd,
+            settings=settings(database=None),
+        )
 
 
 class TestRho23Predicates:
