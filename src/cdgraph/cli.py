@@ -35,6 +35,11 @@ from .formats import (
 )
 from .graph import Graph
 
+# Input files and stdin are read up to this many characters, far above the
+# largest graph either format holds (a complete n = 62 edge list is 10,739
+# characters); one more character read marks the input as too long.
+_MAX_INPUT_CHARS = 1 << 20
+
 
 def _add_input_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
@@ -69,10 +74,12 @@ def _read_graph(args: argparse.Namespace) -> Graph:
             raise ValueError("give either an input path or --g6, not both")
         return decode_graph6(args.g6.strip())
     if args.input is None or args.input == "-":
-        text = sys.stdin.read()
+        text = sys.stdin.read(_MAX_INPUT_CHARS + 1)
     else:
         with open(args.input, "r", encoding="ascii") as handle:
-            text = handle.read()
+            text = handle.read(_MAX_INPUT_CHARS + 1)
+    if len(text) > _MAX_INPUT_CHARS:
+        raise ValueError(f"input is longer than {_MAX_INPUT_CHARS} characters")
     lines = [line.strip() for line in text.strip().splitlines()]
     if not lines:
         raise ValueError("empty input")
@@ -231,10 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

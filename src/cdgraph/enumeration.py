@@ -82,22 +82,7 @@ class EnumerationSummary(NamedTuple):
     notes: tuple[str, ...]
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "total_nonisomorphic": self.total_nonisomorphic,
-            "admissible": self.admissible,
-            "all_odd_admissible": self.all_odd_admissible,
-            "non_regular_all_odd_admissible": self.non_regular_all_odd_admissible,
-            "theorem_3_3_discrepancies": list(self.theorem_3_3_discrepancies),
-            "theorem_3_3_not_applicable": list(self.theorem_3_3_not_applicable),
-            "regular_theorem_discrepancies": list(self.regular_theorem_discrepancies),
-            "theorem_3_2_discrepancies": {
-                mode: list(vals) for mode, vals in self.theorem_3_2_discrepancies.items()
-            },
-            "diameter3_surveyed": self.diameter3_surveyed,
-            "diameter3_no_valid_partition": list(self.diameter3_no_valid_partition),
-            "notes": list(self.notes),
-        }
+        return self._asdict()
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

@@ -2,9 +2,11 @@
 
 graph6 (the nauty interchange format) covers n <= 62 here: a single
 header byte n+63 followed by the upper-triangle adjacency bits in
-column order, packed 6 bits per byte, each byte offset by 63. Encoding
-then decoding is byte-exact, and decoding rejects malformed input with
-the offending byte offset.
+column order, packed 6 bits per byte, each byte offset by 63. ``_pack``
+packs that bit string, and decoding is its inverse: the body expands
+back into the bit string, of which column j is one slice. Encoding then
+decoding is byte-exact, and decoding rejects malformed input with the
+offending byte offset.
 """
 
 from __future__ import annotations
@@ -12,6 +14,11 @@ from __future__ import annotations
 from .graph import Graph
 
 GRAPH6_MAX_N = 62
+
+# The six bits of each body byte 63..126, most significant first.
+_SIX_BITS = {byte: format(byte - 63, "06b") for byte in range(63, 127)}
+# Column j of the bit string: pairs (0, j) .. (j-1, j).
+_COLUMNS = tuple(slice(j * (j - 1) // 2, j * (j + 1) // 2) for j in range(GRAPH6_MAX_N + 1))
 
 
 class Graph6ParseError(ValueError):
@@ -36,13 +43,10 @@ def encode_graph6(g: Graph) -> bytes:
     if g.n > GRAPH6_MAX_N:
         raise ValueError(f"graph6 single-byte header supports n <= {GRAPH6_MAX_N}")
     adj = g.adjacency_masks
-    code = 0
-    for j in range(1, g.n):
-        row = 0
-        for i in range(j):
-            row = row << 1 | adj[i] >> j & 1
-        code = code << j | row
-    return _pack(g.n, code)
+    # Column j is the low j bits of adj[j], least significant first. Bit j,
+    # set as a marker, fixes bin()'s form: "0b1" and then exactly those j bits.
+    bits = "".join([bin(adj[j] % (1 << j) | 1 << j)[:2:-1] for j in range(1, g.n)])
+    return _pack(g.n, int("0" + bits, 2))
 
 
 def graph6_bytes_from_rows(n: int, rows: list[int]) -> bytes:
@@ -78,27 +82,22 @@ def decode_graph6(data: bytes | str) -> Graph:
         raise Graph6ParseError(f"body too short: expected {expected} bytes", len(raw))
     if len(body) > expected:
         raise Graph6ParseError(f"body too long: expected {expected} bytes", 1 + expected)
-    masks = [0] * n
-    bit_index = 0
-    i, j = 0, 1  # bit_index is the bit for vertex pair (i, j), i < j
-    for offset, byte in enumerate(body, start=1):
-        value = byte - 63
-        if not 0 <= value < 64:
-            raise Graph6ParseError(f"body byte {byte} outside graph6 range", offset)
-        for shift in range(5, -1, -1):
-            bit = value >> shift & 1
-            if bit_index >= nbits:
-                if bit:
-                    raise Graph6ParseError("nonzero padding bits", offset)
-                continue
-            if bit:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-            bit_index += 1
-            i += 1
-            if i == j:
-                i, j = 0, j + 1
-    return Graph.from_masks(n, masks)
+    try:
+        bits = "".join([_SIX_BITS[byte] for byte in body])
+    except KeyError as exc:
+        # The lookup stops at the first bad byte, so no earlier byte has its value.
+        byte = exc.args[0]
+        raise Graph6ParseError(f"body byte {byte} outside graph6 range", 1 + body.index(byte)) from None
+    if "1" in bits[nbits:]:
+        raise Graph6ParseError("nonzero padding bits", expected)
+    # Row j of the n x n matrix is column j, zero filled. Reversed, it and
+    # its transpose read as integers set bits j*n + i and i*n + j for each
+    # edge (i, j), i < j. A leading "0" keeps int() defined at n = 0.
+    matrix = "".join([bits[column].ljust(n, "0") for column in _COLUMNS[:n]])[::-1]
+    transpose = "".join([matrix[k::n] for k in range(n)])
+    both = int("0" + matrix, 2) | int("0" + transpose, 2)
+    row = (1 << n) - 1
+    return Graph.from_masks(n, [both >> v * n & row for v in range(n)])
 
 
 def encode_edgelist(g: Graph) -> str:

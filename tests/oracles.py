@@ -315,3 +315,19 @@ def validate_partition_pairwise(n: int, edges, rho1, rho2, rho3, rho4):
 def diameter_by_bfs(n: int, edges) -> float:
     """Largest pairwise distance; inf when disconnected."""
     return max(max(distances(n, edges, v)) for v in range(n))
+
+
+def graph6_edges_by_pair_order(data: bytes):
+    """Read a graph6 string bit by bit, as McKay's format description
+    states it: the body's bits, six per byte (byte - 63, most
+    significant bit first), name the vertex pairs (i, j), i < j, in
+    column order (0,1), (0,2), (1,2), (0,3), ...; body bit k is set
+    when the k-th pair is an edge, and the bits after the last pair are
+    padding. Expects a valid header byte and a body of exact length in
+    63..126. Returns (n, edges), or None when a padding bit is set."""
+    n = data[0] - 63
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    bits = [(byte - 63) >> shift & 1 for byte in data[1:] for shift in range(5, -1, -1)]
+    if any(bits[len(pairs) :]):
+        return None
+    return n, [pair for pair, bit in zip(pairs, bits) if bit]

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import os
 import subprocess
@@ -55,6 +56,25 @@ def test_benchmark_traced_names_resolve(tracer):
     assert not missing
     replayed = ["check_" + check.replace("-", "_") for check in tracer.CHECK_IDS]
     assert [name for name in replayed if not hasattr(checks, name)] == []
+
+
+def test_package_imports_only_the_standard_library():
+    # cdgraph is stdlib-only: every module a package file imports is
+    # cdgraph itself or part of the standard library.
+    allowed = sys.stdlib_module_names | {"cdgraph"}
+    sources = sorted((ROOT / "src" / "cdgraph").glob("*.py"))
+    assert sources
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # not an import, or a relative one within cdgraph
+            outside += [f"{path.name}: {name}" for name in names if name.split(".")[0] not in allowed]
+    assert outside == []
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():

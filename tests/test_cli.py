@@ -11,6 +11,7 @@ from cdgraph import (
     figure2_graph,
     odd_family,
 )
+from cdgraph import cli
 from cdgraph.cli import main
 
 
@@ -103,6 +104,27 @@ class TestCheck:
         path.write_text("\nCh\n  \n")  # blank lines around one graph are fine
         code, _, _ = run_cli(capsys, command, str(path))
         assert code == (1 if command == "check" else 0)
+
+    def test_endless_stdin_exits_2_after_the_input_limit(self, capsys, monkeypatch):
+        # `yes | cdgraph check -`: stdin is read with a size, never whole.
+        class EndlessStdin:
+            def read(self, size=-1):
+                assert size is not None and size >= 0, "stdin read without a size"
+                return ("y\n" * (size // 2 + 1))[:size]
+
+        monkeypatch.setattr("sys.stdin", EndlessStdin())
+        code, out, err = run_cli(capsys, "check", "-")
+        assert code == 2 and out == ""
+        assert err == f"error: input is longer than {cli._MAX_INPUT_CHARS} characters\n"
+
+    def test_input_file_one_character_over_the_limit_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "padded.g6"
+        path.write_text("Ch" + "\n" * (cli._MAX_INPUT_CHARS - 2))
+        assert run_cli(capsys, "check", str(path))[0] == 1  # at the limit: P4 is read
+        path.write_text("Ch" + "\n" * (cli._MAX_INPUT_CHARS - 1))
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: input is longer than {cli._MAX_INPUT_CHARS} characters\n"
 
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "check", "--g6", "zz")

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from cdgraph import (
     Graph,
     Graph6ParseError,
@@ -15,6 +16,21 @@ from cdgraph import (
 )
 from cdgraph.cli import main
 from conftest import graphs, path_graph
+
+
+def body_length(n: int) -> int:
+    return (n * (n - 1) // 2 + 5) // 6
+
+
+# A valid header and a body of exact length with every byte in 63..126:
+# only the padding bits can make such a string malformed.
+exact_length_graph6 = st.integers(min_value=0, max_value=62).flatmap(
+    lambda n: st.lists(
+        st.integers(min_value=63, max_value=126),
+        min_size=body_length(n),
+        max_size=body_length(n),
+    ).map(lambda body: bytes([n + 63, *body]))
+)
 
 
 class TestGraph6Decode:
@@ -71,6 +87,34 @@ class TestGraph6Decode:
         with pytest.raises(Graph6ParseError):
             decode_graph6("Aé")
 
+    @given(exact_length_graph6)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pair_order_oracle(self, data):
+        expected = oracles.graph6_edges_by_pair_order(data)
+        if expected is None:
+            with pytest.raises(Graph6ParseError, match="^nonzero padding bits") as err:
+                decode_graph6(data)
+            assert err.value.offset == len(data) - 1
+        else:
+            n, edges = expected
+            assert decode_graph6(data) == Graph(n, edges)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_first_out_of_range_body_byte_is_reported(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=62))
+        length = body_length(n)
+        position = data.draw(st.integers(min_value=0, max_value=length - 1))
+        bad = data.draw(st.integers(min_value=0, max_value=255).filter(lambda b: not 63 <= b <= 126))
+        valid = st.integers(min_value=63, max_value=126)
+        before = data.draw(st.lists(valid, min_size=position, max_size=position))
+        # Bytes after the first bad one may be anything, bad ones included.
+        after = data.draw(st.binary(min_size=length - position - 1, max_size=length - position - 1))
+        with pytest.raises(Graph6ParseError) as err:
+            decode_graph6(bytes([n + 63, *before, bad]) + after)
+        assert err.value.offset == 1 + position
+        assert str(err.value) == f"body byte {bad} outside graph6 range (byte offset {1 + position})"
+
 
 class TestGraph6Encode:
     def test_k2(self):
@@ -85,7 +129,7 @@ class TestGraph6Encode:
         with pytest.raises(ValueError):
             encode_graph6(Graph(63))
 
-    @given(graphs(max_n=12, min_n=0))
+    @given(graphs(max_n=62, min_n=0))
     @settings(max_examples=80, deadline=None)
     def test_round_trip(self, g):
         data = encode_graph6(g)
