@@ -54,10 +54,8 @@ def refined_colors(n: int, adj: tuple[int, ...]) -> list[int]:
         cells = [0] * ncells
         for v, c in enumerate(color):
             cells[c] |= 1 << v
-        sigs = [
-            (c, tuple([-(a & cell).bit_count() for cell in cells]))
-            for c, a in zip(color, adj)
-        ]
+        # Vertex v's row is its color, then its negated count in each cell.
+        sigs = list(zip(color, *[[-(a & cell).bit_count() for a in adj] for cell in cells]))
         remap = {s: i for i, s in enumerate(sorted(set(sigs)))}
         if len(remap) == ncells:
             break

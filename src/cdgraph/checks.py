@@ -14,7 +14,7 @@ from typing import Any, NamedTuple
 
 from . import graph as gr
 from .formats import GRAPH6_MAX_N, encode_graph6
-from .graph import Graph
+from .graph import Graph, _bits
 
 PASS = "pass"
 FAIL = "fail"
@@ -117,11 +117,10 @@ def check_palfy(g: Graph) -> CheckResult:
     adj = g.adjacency_masks
     full = (1 << n) - 1
     for u in range(n):
-        for v in range(u + 1, n):
-            if adj[u] >> v & 1:
-                continue
-            others = full & ~adj[u] & ~adj[v] & ~(1 << u) & ~(1 << v)
-            others &= ~((1 << (v + 1)) - 1)  # canonical witness: w > v
+        later = full & ~adj[u] & -(2 << u)  # non-neighbours v > u
+        for v in _bits(later):
+            # canonical witness: the least w > v off both neighbourhoods
+            others = later & ~adj[v] & -(2 << v)
             if others:
                 w = (others & -others).bit_length() - 1
                 return _result("palfy", FAIL, [u, v, w])

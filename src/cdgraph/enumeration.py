@@ -97,51 +97,38 @@ def verify_section_3(n: int) -> EnumerationSummary:
     diameter-3 characterization under every rho2/rho3 predicate of
     ``lewis.RHO23_PREDICATES`` on each graph's first valid partition.
     """
-    total = 0
     admissible = 0
     all_odd_admissible = 0
     non_regular_all_odd = 0
-    t33_discrepancies: list[str] = []
-    t33_not_applicable: list[str] = []
+    surveyed = 0
+    t33: dict[str, list[str]] = {lewis.DISCREPANCY: [], lewis.NOT_APPLICABLE: []}
     regular_discrepancies: list[str] = []
     t32_discrepancies: dict[str, list[str]] = {mode: [] for mode in lewis.RHO23_PREDICATES}
-    surveyed = 0
     no_valid_partition: list[str] = []
 
-    for g in enumerate_nonisomorphic(n):
-        total += 1
-        report = run_battery(g)
-        if not report.overall:
-            continue
+    for g, report in enumerate_admissible(n):
         admissible += 1
         g6 = report.graph6
-        all_odd = gr.all_degrees_odd(g)
-        if all_odd:
+        if gr.all_degrees_odd(g):
             all_odd_admissible += 1
             if not gr.is_regular(g)[0]:
                 non_regular_all_odd += 1
-
-        t33 = lewis.check_theorem_3_3(g)
-        if t33.verdict == lewis.DISCREPANCY:
-            t33_discrepancies.append(g6)
-        elif t33.verdict == lewis.NOT_APPLICABLE:
-            t33_not_applicable.append(g6)
-
+        t33_verdict = lewis.check_theorem_3_3(g).verdict
+        if t33_verdict in t33:
+            t33[t33_verdict].append(g6)
         if lewis.check_regular_odd(g).verdict == lewis.DISCREPANCY:
             regular_discrepancies.append(g6)
-
-        if gr.diameter(g) == 3:
-            found = lewis.first_valid_partition(g)
-            if found is None:
-                no_valid_partition.append(g6)
-            else:
-                partition, _ = found
-                surveyed += 1
-                # ``first_valid_partition`` has validated the partition.
-                for mode in lewis.RHO23_PREDICATES:
-                    verdict = lewis._theorem_3_2(g, partition, mode)
-                    if not verdict.characterization_holds:
-                        t32_discrepancies[mode].append(g6)
+        if gr.diameter(g) != 3:
+            continue
+        found = lewis.first_valid_partition(g)
+        if found is None:
+            no_valid_partition.append(g6)
+            continue
+        surveyed += 1
+        # ``first_valid_partition`` has validated the partition.
+        for mode in lewis.RHO23_PREDICATES:
+            if not lewis._theorem_3_2(g, found[0], mode).characterization_holds:
+                t32_discrepancies[mode].append(g6)
 
     notes: list[str] = []
     if n == 6:
@@ -150,13 +137,13 @@ def verify_section_3(n: int) -> EnumerationSummary:
             "of genuine 6-vertex character degree graphs lists 12. The checks here are "
             "necessary conditions only, so the counts are reported side by side."
         )
-    if t33_not_applicable:
+    if t33[lewis.NOT_APPLICABLE]:
         notes.append(
             "all-odd disconnected admissible graphs (outside the block theorem's "
-            f"connectivity hypotheses): {', '.join(t33_not_applicable)}"
+            f"connectivity hypotheses): {', '.join(t33[lewis.NOT_APPLICABLE])}"
         )
-    zero_modes = [mode for mode, vals in t32_discrepancies.items() if not vals]
     if surveyed:
+        zero_modes = [mode for mode, vals in t32_discrepancies.items() if not vals]
         notes.append(
             "diameter-3 characterization predicates with zero discrepancies: "
             + (", ".join(zero_modes) if zero_modes else "none")
@@ -164,16 +151,15 @@ def verify_section_3(n: int) -> EnumerationSummary:
 
     return EnumerationSummary(
         n=n,
-        total_nonisomorphic=total,
+        # The stream above has validated n; ``_level_forms(0)`` never returns.
+        total_nonisomorphic=len(_level_forms(n)),
         admissible=admissible,
         all_odd_admissible=all_odd_admissible,
         non_regular_all_odd_admissible=non_regular_all_odd,
-        theorem_3_3_discrepancies=tuple(t33_discrepancies),
-        theorem_3_3_not_applicable=tuple(t33_not_applicable),
+        theorem_3_3_discrepancies=tuple(t33[lewis.DISCREPANCY]),
+        theorem_3_3_not_applicable=tuple(t33[lewis.NOT_APPLICABLE]),
         regular_theorem_discrepancies=tuple(regular_discrepancies),
-        theorem_3_2_discrepancies={
-            mode: tuple(vals) for mode, vals in t32_discrepancies.items()
-        },
+        theorem_3_2_discrepancies={mode: tuple(vals) for mode, vals in t32_discrepancies.items()},
         diameter3_surveyed=surveyed,
         diameter3_no_valid_partition=tuple(no_valid_partition),
         notes=tuple(notes),

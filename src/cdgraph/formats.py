@@ -131,6 +131,8 @@ def decode_edgelist(text: str) -> Graph:
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer endpoint in {line!r}") from None
         if not (0 <= u < n and 0 <= v < n):
+            if n == 0:
+                raise ValueError(f"line {lineno}: edge ({u}, {v}) given for a graph with no vertices")
             raise ValueError(f"line {lineno}: edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
         if u == v:
             raise ValueError(f"line {lineno}: self-loop ({u}, {v}) is not allowed")

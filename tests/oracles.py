@@ -218,12 +218,21 @@ def count_isomorphism_classes(n: int) -> int:
     return classes
 
 
-def has_independent_triple(n: int, edges) -> bool:
+def first_independent_triple(n: int, edges) -> tuple[int, int, int] | None:
+    """The lexicographically first independent triple, or None."""
     e = normalize(edges)
-    return any(
-        (a, b) not in e and (a, c) not in e and (b, c) not in e
-        for a, b, c in combinations(range(n), 3)
+    return next(
+        (
+            (a, b, c)
+            for a, b, c in combinations(range(n), 3)
+            if (a, b) not in e and (a, c) not in e and (b, c) not in e
+        ),
+        None,
     )
+
+
+def has_independent_triple(n: int, edges) -> bool:
+    return first_independent_triple(n, edges) is not None
 
 
 def complement_has_triangle(n: int, edges) -> bool:

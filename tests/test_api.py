@@ -77,6 +77,34 @@ def test_package_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_cross_module_private_names_are_listed():
+    # A package module that reads another module's underscore name is
+    # coupled to its internals; each such reference is listed here, so a
+    # new one is a visible decision. The package imports itself relatively.
+    allowed = {"graph._bits", "graph._layers", "lewis._theorem_3_2"}
+    used = set()
+    for path in sorted((ROOT / "src" / "cdgraph").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules = {}  # local name -> the package module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    elif alias.name.startswith("_"):
+                        used.add(f"{node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+            ):
+                used.add(f"{modules[node.value.id]}.{node.attr}")
+    assert used == allowed
+
+
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # Every `cdgraph check` process pays for what `cdgraph.cli` imports.
     # -S keeps site-packages .pth imports out of the count.

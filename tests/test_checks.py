@@ -176,6 +176,24 @@ def palfy_graphs(draw, max_n: int = 30):
     return Graph(n, [(perm[u], perm[v]) for u, v in edges])
 
 
+def drop_edges(g: Graph, rng) -> Graph:
+    """``g`` less up to three random edges, so that an independent triple,
+    if one appears, can sit anywhere in the vertex order."""
+    edges = g.edges()
+    dropped = set(rng.sample(edges, min(len(edges), rng.randrange(4))))
+    return Graph(g.n, [e for e in edges if e not in dropped])
+
+
+class TestPalfyWitness:
+    @given(st.one_of(graphs(max_n=12), st.builds(drop_edges, palfy_graphs(max_n=12), st.randoms())))
+    @settings(max_examples=200, deadline=None)
+    def test_witness_is_the_first_independent_triple(self, g):
+        first = oracles.first_independent_triple(g.n, g.edges())
+        result = check_palfy(g)
+        assert result.verdict == (PASS if first is None else FAIL)
+        assert result.witness == (None if first is None else list(first))
+
+
 class TestPalfyImplications:
     """Pálfy (independence number <= 2) implies the component and
     diameter bounds: one vertex from each of three components, or the

@@ -294,6 +294,11 @@ class TestEnumerate:
         code, _, err = run_cli(capsys, "enumerate", "--n", "10")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("n", ["0", "10"])
+    def test_summary_out_of_range(self, capsys, n):
+        code, out, err = run_cli(capsys, "enumerate", "--n", n, "--summary")
+        assert code == 2 and out == "" and err.startswith("error: ")
+
     def test_graph6_emit_spelling(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "--n", "3", "--emit", "graph6")
         assert code == 0 and len(out.strip().splitlines()) == 4

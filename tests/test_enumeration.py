@@ -108,6 +108,12 @@ class TestVerifySection3:
         assert summary.diameter3_surveyed == surveyed
         assert all(vals == () for vals in summary.theorem_3_2_discrepancies.values())
 
+    @pytest.mark.parametrize("n", [0, 10])
+    def test_range_errors(self, n):
+        # The stream validates n before the survey reads the level size.
+        with pytest.raises(ValueError):
+            verify_section_3(n)
+
     def test_counts_are_monotone(self):
         for n in range(1, 7):
             s = verify_section_3(n)

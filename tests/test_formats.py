@@ -166,8 +166,15 @@ class TestEdgeList:
             ("\n3\n0 1\n\n\nx y\n", 6, "non-integer endpoint in 'x y'"),
             ("4\n0 1\n\n1 9\n", 4, "edge (1, 9) has an endpoint outside 0..3"),
             ("4\n0 1\n\n2 2\n", 4, "self-loop (2, 2) is not allowed"),
+            ("0\n0 1\n", 2, "edge (0, 1) given for a graph with no vertices"),
         ],
-        ids=["blank-before-bad-line", "blank-before-header", "endpoint-out-of-range", "self-loop"],
+        ids=[
+            "blank-before-bad-line",
+            "blank-before-header",
+            "endpoint-out-of-range",
+            "self-loop",
+            "edge-without-vertices",
+        ],
     )
     def test_error_names_the_physical_line(self, text, lineno, detail, tmp_path, capsys):
         message = f"line {lineno}: {detail}"
