@@ -30,6 +30,8 @@ MAX_ENUMERATION_N = 9
 
 @functools.cache
 def _level_forms(n: int) -> tuple[bytes, ...]:
+    if n < 1:
+        raise ValueError("levels start at n = 1")
     if n == 1:
         return (b"@",)
     forms: set[bytes] = set()
@@ -151,7 +153,6 @@ def verify_section_3(n: int) -> EnumerationSummary:
 
     return EnumerationSummary(
         n=n,
-        # The stream above has validated n; ``_level_forms(0)`` never returns.
         total_nonisomorphic=len(_level_forms(n)),
         admissible=admissible,
         all_odd_admissible=all_odd_admissible,

@@ -6,7 +6,10 @@ column order, packed 6 bits per byte, each byte offset by 63. ``_pack``
 packs that bit string, and decoding is its inverse: the body expands
 back into the bit string, of which column j is one slice. Encoding then
 decoding is byte-exact, and decoding rejects malformed input with the
-offending byte offset.
+offending byte offset. Decoding accepts exactly one encoding of each
+labelled graph (one header byte, an exact body length, zero padding and
+body bytes in 63..126), so a decoded graph keeps the bytes it came from
+and encoding it returns them.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ def _pack(n: int, code: int) -> bytes:
 def encode_graph6(g: Graph) -> bytes:
     if g.n > GRAPH6_MAX_N:
         raise ValueError(f"graph6 single-byte header supports n <= {GRAPH6_MAX_N}")
+    if g._g6 is not None:
+        return g._g6
     adj = g.adjacency_masks
     # Column j is the low j bits of adj[j], least significant first. Bit j,
     # set as a marker, fixes bin()'s form: "0b1" and then exactly those j bits.
@@ -97,7 +102,9 @@ def decode_graph6(data: bytes | str) -> Graph:
     transpose = "".join([matrix[k::n] for k in range(n)])
     both = int("0" + matrix, 2) | int("0" + transpose, 2)
     row = (1 << n) - 1
-    return Graph.from_masks(n, [both >> v * n & row for v in range(n)])
+    g = Graph.from_masks(n, [both >> v * n & row for v in range(n)])
+    g._g6 = raw
+    return g
 
 
 def encode_edgelist(g: Graph) -> str:

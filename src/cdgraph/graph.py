@@ -13,7 +13,9 @@ Every distance question reads the layer masks and ``is_block`` the
 block count, so ``_bfs_layers`` and ``_decompose`` are the only
 traversals, and only ``bfs_distances`` writes out per-vertex distances.
 The battery, the Lewis partitions and the theorem verdicts all read the
-same cached structure. The caches never enter ``==`` or ``hash``.
+same cached structure. A graph that ``decode_graph6`` built also keeps
+the bytes it was decoded from, which ``encode_graph6`` returns. The
+caches never enter ``==`` or ``hash``.
 """
 
 from __future__ import annotations
@@ -39,10 +41,11 @@ class Graph:
     safe to share across workers and to use as cache keys. The private
     ``_dist`` and ``_blocks`` slots are lazily filled caches of derived
     structure, BFS layer masks per source and the block decomposition
-    (see the module docstring); equality and hashing ignore them.
+    (see the module docstring), and ``_g6`` holds the graph6 bytes a
+    decoded graph came from; equality and hashing ignore them.
     """
 
-    __slots__ = ("n", "_adj", "_dist", "_blocks")
+    __slots__ = ("n", "_adj", "_dist", "_blocks", "_g6")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
@@ -59,6 +62,7 @@ class Graph:
         self._adj: tuple[int, ...] = tuple(adj)
         self._dist: list[tuple[int, ...] | None] | None = None
         self._blocks: BlockDecomposition | None = None
+        self._g6: bytes | None = None
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "Graph":
@@ -68,6 +72,7 @@ class Graph:
         g._adj = tuple(masks)
         g._dist = None
         g._blocks = None
+        g._g6 = None
         return g
 
     @property

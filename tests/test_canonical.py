@@ -17,6 +17,7 @@ from cdgraph import (
     encode_graph6,
     enumerate_nonisomorphic,
     is_isomorphic,
+    odd_family,
 )
 from cdgraph.canonical import _min_code_rows, refined_colors
 from cdgraph.formats import graph6_bytes_from_rows
@@ -45,6 +46,15 @@ def blow_up(base: Graph, sizes: list[int], cliques: list[bool]) -> Graph:
     ]
     edges += [(a, b) for u, v in base.edges() for a in blobs[u] for b in blobs[v]]
     return Graph(sum(sizes), edges)
+
+
+def complement(g: Graph) -> Graph:
+    return Graph(g.n, [(u, v) for u, v in combinations(range(g.n), 2) if not g.has_edge(u, v)])
+
+
+def complete_multipartite(parts: int, size: int) -> Graph:
+    cells = combinations(range(parts * size), 2)
+    return Graph(parts * size, [(a, b) for a, b in cells if a // size != b // size])
 
 
 def cube(d: int) -> Graph:
@@ -131,7 +141,8 @@ def search_inputs(draw) -> Graph:
 
 def named_symmetric() -> dict[str, Graph]:
     """Vertex-transitive and twin-heavy graphs on which the search
-    branches most."""
+    branches most; the last three have cells of 12 to 16 vertices (twins
+    in the family member and in K4,4,4,4), so many ties are carried."""
     named = {f"C{m}": cycle_graph(m) for m in range(10, 14)}
     named.update(
         Petersen=petersen(),
@@ -143,8 +154,21 @@ def named_symmetric() -> dict[str, Graph]:
         Q3=cube(3),
         K44=Graph(8, [(u, v + 4) for u in range(4) for v in range(4)]),
         C5_twins=blow_up(cycle_graph(5), [2, 3, 1, 2, 2], [True, False, False, True, False]),
+        family16=odd_family(16),
+        coC16=complement(cycle_graph(16)),
+        K4444=complete_multipartite(4, 4),
     )
     return named
+
+
+def large_symmetric() -> list[Graph]:
+    """The odd-degree family members with n = 10..62, step 4, the
+    complements of C10..C37, step 3, C10..C13, Petersen, Paley13 and
+    Paley17: large cells whose ties the search carries into children."""
+    large = [odd_family(n) for n in range(10, 63, 4)]
+    large += [complement(cycle_graph(m)) for m in range(10, 38, 3)]
+    large += [cycle_graph(m) for m in range(10, 14)]
+    return large + [petersen(), paley(13), paley(17)]
 
 
 class TestIsomorphism:
@@ -318,6 +342,20 @@ class TestByteIdentity:
         assert len(forms) == 12346
         digest = hashlib.sha256(b"\n".join(forms)).hexdigest()
         assert digest == "3e503c8c6bec0555cca2382d86a1bb2ede4f18a9e854b4caed44bad3415cacb5"
+
+    def test_large_symmetric_forms_digest(self):
+        # sha256 of the forms of three relabelings of each graph, in
+        # order and joined by newlines, as computed before ties carried
+        # their rows into their children.
+        rng = random.Random("large-symmetric")
+        forms = []
+        for g in large_symmetric():
+            for _ in range(3):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                forms.append(canonical_form(permuted(g, perm)))
+        digest = hashlib.sha256(b"\n".join(forms)).hexdigest()
+        assert digest == "0bb8765ca300b9c2521be9c65aab934957f95c9018fd474341f59b936b8d08be"
 
     @given(search_inputs())
     @settings(max_examples=150, deadline=None)

@@ -13,6 +13,7 @@ from cdgraph import (
     run_battery,
     verify_section_3,
 )
+from cdgraph.enumeration import _level_forms
 from conftest import cycle_graph, path_graph
 
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -50,6 +51,13 @@ class TestEnumerateNonIsomorphic:
     def test_range_errors(self, n):
         with pytest.raises(ValueError):
             list(enumerate_nonisomorphic(n))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_level_below_one_is_a_value_error(self, n):
+        # The generator itself refuses, so no caller has to validate n
+        # before reading a level.
+        with pytest.raises(ValueError):
+            _level_forms(n)
 
 
 class TestEnumerateAdmissible:
@@ -110,7 +118,6 @@ class TestVerifySection3:
 
     @pytest.mark.parametrize("n", [0, 10])
     def test_range_errors(self, n):
-        # The stream validates n before the survey reads the level size.
         with pytest.raises(ValueError):
             verify_section_3(n)
 

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -135,6 +135,18 @@ class TestGraph6Encode:
         data = encode_graph6(g)
         assert decode_graph6(data) == g
         assert encode_graph6(decode_graph6(data)) == data
+
+    @given(exact_length_graph6)
+    @settings(max_examples=300, deadline=None)
+    def test_decoded_graph_encodes_to_its_input(self, data):
+        # A decoded graph keeps the bytes it came from; they must be the
+        # bytes a fresh encode of the same adjacency gives.
+        assume(oracles.graph6_edges_by_pair_order(data) is not None)
+        for g in (decode_graph6(data), decode_graph6(data.decode("ascii"))):
+            fresh = Graph.from_masks(g.n, g.adjacency_masks)
+            assert encode_graph6(g) == data
+            assert encode_graph6(fresh) == data
+            assert g == fresh and hash(g) == hash(fresh)
 
 
 class TestEdgeList:
