@@ -44,7 +44,6 @@ from .lewis import (
     check_regular_odd,
     check_theorem_2_5,
     check_theorem_2_7,
-    check_theorem_3_1,
     check_theorem_3_2,
     check_theorem_3_3,
     enumerate_lewis_partitions,
@@ -73,7 +72,6 @@ __all__ = [
     "check_regular_odd",
     "check_theorem_2_5",
     "check_theorem_2_7",
-    "check_theorem_3_1",
     "check_theorem_3_2",
     "check_theorem_3_3",
     "complete_graph",

@@ -21,6 +21,7 @@ from . import lewis
 from .checks import run_battery
 from .constructions import complete_graph, direct_product, figure2_graph, odd_family
 from .enumeration import (
+    MAX_ADMISSIBLE_N,
     MAX_ENUMERATION_N,
     enumerate_admissible,
     enumerate_nonisomorphic,
@@ -219,7 +220,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     enum = sub.add_parser("enumerate", help="exhaustive non-isomorphic enumeration")
     enum.add_argument(
-        "--n", type=int, required=True, help=f"vertex count (1..{MAX_ENUMERATION_N})"
+        "--n",
+        type=int,
+        required=True,
+        help=f"vertex count: 1..{MAX_ENUMERATION_N} for --filter all, "
+        f"1..{MAX_ADMISSIBLE_N} for the admissible streams and --summary",
     )
     enum.add_argument("--filter", choices=("all", "admissible", "all-odd"), default="all")
     enum.add_argument("--emit", choices=("graph6", "g6", "edgelist", "json"), default="graph6")

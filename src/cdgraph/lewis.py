@@ -28,7 +28,6 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from . import graph as gr
 from .checks import NOT_APPLICABLE, PASS
-from .constructions import complete_graph
 from .graph import Graph, _bits
 
 EULERIAN_STANDARD = "standard"
@@ -388,13 +387,6 @@ def _theorem_2_7(g: Graph, p: LewisPartition, applicable: bool) -> TheoremVerdic
     sizes_ok = len(p.rho2) >= 2 and len(p.rho3) >= 2
     details = (("is_block", block), ("rho2_size", len(p.rho2)), ("rho3_size", len(p.rho3)))
     return TheoremVerdict("2.7", PASS if block == sizes_ok else DISCREPANCY, details)
-
-
-def check_theorem_3_1(n: int) -> bool:
-    """Whether the complete graph on n vertices is all-odd (n >= 2)."""
-    if n < 2:
-        raise ValueError("complete-graph parity statement needs n >= 2")
-    return gr.all_degrees_odd(complete_graph(n))
 
 
 def check_regular_odd(g: Graph) -> TheoremVerdict:

@@ -9,6 +9,7 @@ from cdgraph import (
     decode_graph6,
     encode_graph6,
     figure2_graph,
+    is_regular,
     odd_family,
 )
 from cdgraph import cli
@@ -294,7 +295,23 @@ class TestEnumerate:
         code, _, err = run_cli(capsys, "enumerate", "--n", "10")
         assert code == 2 and "error" in err
 
-    @pytest.mark.parametrize("n", ["0", "10"])
+    def test_full_stream_keeps_its_cap_at_n10(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "--n", "10", "--filter", "all")
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+    def test_admissible_stream_at_n10(self, capsys):
+        code, out, _ = run_cli(capsys, "enumerate", "--n", "10", "--filter", "admissible")
+        assert code == 0 and len(out.split()) == 12156
+
+    def test_all_odd_stream_at_n10(self, capsys):
+        code, out, _ = run_cli(capsys, "enumerate", "--n", "10", "--filter", "all-odd")
+        assert code == 0
+        graphs = [decode_graph6(line) for line in out.split()]
+        assert len(graphs) == 97
+        assert all(all_degrees_odd(g) for g in graphs)
+        assert sum(not is_regular(g)[0] for g in graphs) == 96
+
+    @pytest.mark.parametrize("n", ["0", "11"])
     def test_summary_out_of_range(self, capsys, n):
         code, out, err = run_cli(capsys, "enumerate", "--n", n, "--summary")
         assert code == 2 and out == "" and err.startswith("error: ")

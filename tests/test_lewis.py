@@ -10,7 +10,6 @@ from cdgraph import (
     check_regular_odd,
     check_theorem_2_5,
     check_theorem_2_7,
-    check_theorem_3_1,
     check_theorem_3_2,
     check_theorem_3_3,
     complete_graph,
@@ -380,12 +379,8 @@ class TestTheorem27:
 
 class TestParityTheorems:
     def test_complete_graph_parity(self):
-        assert check_theorem_3_1(6) is True
-        assert check_theorem_3_1(7) is False
         for n in range(2, 21):
-            assert check_theorem_3_1(n) == (n % 2 == 0)
-        with pytest.raises(ValueError):
-            check_theorem_3_1(1)
+            assert all_degrees_odd(complete_graph(n)) == (n % 2 == 0)
 
     def test_regular_odd(self):
         assert check_regular_odd(cycle_graph(4)).verdict == PASS
