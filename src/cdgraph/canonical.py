@@ -3,10 +3,14 @@
 The canonical form of a graph is the graph6 encoding of a canonical
 relabeling, computed in two stages:
 
-1. iterated degree refinement (1-dimensional Weisfeiler-Leman) by
-   counting each vertex's neighbors in every color cell: vertices are
-   partitioned into color classes whose identifiers depend only on the
-   isomorphism type, never on the input labeling;
+1. iterated degree refinement (1-dimensional Weisfeiler-Leman): the
+   vertices start in cells by degree, and each round splits every cell
+   by its members' neighbor counts in the cells that the previous round
+   created (McKay and Piperno 2014). A cell the previous round left
+   whole cannot split anything: it was a cell the round before too, and
+   the members of every cell were grouped by equal counts in those. The
+   pieces are ordered by an invariant rule, so the color ids depend only
+   on the isomorphism type, never on the input labeling;
 2. a depth-first branch-and-bound search for the lexicographically
    smallest upper-triangle bit string over all vertex orders that list
    the color classes in canonical order and permute freely inside each
@@ -46,28 +50,58 @@ from .graph import Graph, degree_multiset
 def refined_colors(n: int, adj: tuple[int, ...]) -> list[int]:
     """Stable iterated-degree coloring with relabeling-invariant ids.
 
-    Each round splits the color cells by counting, for every vertex, its
-    neighbors in each cell (refinement by counting cells, McKay and
-    Piperno 2014). A vertex's new id ranks ``(color, negated counts)``;
-    vertices of one cell share a degree, so this is the order of their
-    sorted neighbor-color tuples. Refinement stops once the coloring is
-    discrete or a round splits no cell.
+    The cells start as the degree classes, by increasing degree. Each
+    round splits every non-singleton cell by its members' neighbor counts
+    in the splitters: every degree cell in round 1, afterwards only the
+    pieces the previous round created. A cell that round left whole
+    cannot split anything, because every cell's members were grouped by
+    equal counts in it (McKay and Piperno 2014). A member's key packs its
+    counts in cell order, ``n.bit_length()`` bits each, and the pieces
+    replace their cell in place by decreasing key, which is the order of
+    ``(color, sorted neighbor colors)``. Refinement stops once the
+    coloring is discrete or a round splits no cell; a vertex's color is
+    the index of its cell.
     """
-    degrees = [m.bit_count() for m in adj]
-    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
-    color = [rank[d] for d in degrees]
-    ncells = len(rank)
-    while ncells < n:
-        cells = [0] * ncells
-        for v, c in enumerate(color):
-            cells[c] |= 1 << v
-        # Vertex v's row is its color, then its negated count in each cell.
-        sigs = list(zip(color, *[[-(a & cell).bit_count() for a in adj] for cell in cells]))
-        remap = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        if len(remap) == ncells:
+    by_degree: dict[int, int] = {}
+    for v, a in enumerate(adj):
+        d = a.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    splitters = cells
+    width = n.bit_length()
+    while len(cells) < n:
+        refined: list[int] = []
+        pieces: list[int] = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                refined.append(cell)
+                continue
+            groups: dict[int, int] = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                a = adj[low.bit_length() - 1]
+                key = 0
+                for s in splitters:
+                    key = key << width | (a & s).bit_count()
+                groups[key] = groups.get(key, 0) | low
+            if len(groups) == 1:
+                refined.append(cell)
+            else:
+                split = [groups[key] for key in sorted(groups, reverse=True)]
+                refined += split
+                pieces += split
+        if not pieces:
             break
-        color = [remap[s] for s in sigs]
-        ncells = len(remap)
+        cells = refined
+        splitters = pieces
+    color = [0] * n
+    for i, cell in enumerate(cells):
+        while cell:
+            low = cell & -cell
+            cell ^= low
+            color[low.bit_length() - 1] = i
     return color
 
 

@@ -157,6 +157,12 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.summary:
+        if args.filter != "all":
+            raise ValueError(
+                f"--filter {args.filter} selects a stream; --summary surveys every admissible graph"
+            )
+        if args.emit == "edgelist":
+            raise ValueError("--emit edgelist formats a stream; --summary prints JSON")
         print(verify_section_3(args.n).to_json())
         return 0
     if args.filter == "admissible":
@@ -231,7 +237,8 @@ def _build_parser() -> argparse.ArgumentParser:
     enum.add_argument(
         "--summary",
         action="store_true",
-        help="print the exhaustive theorem-survey summary instead of a stream",
+        help="print the exhaustive theorem-survey summary as JSON instead of a stream "
+        "(no --filter admissible|all-odd, no --emit edgelist)",
     )
     enum.set_defaults(func=_cmd_enumerate)
 

@@ -95,12 +95,6 @@ def _level_forms(n: int, rule: ExtensionRule) -> tuple[bytes, ...]:
     return tuple(sorted(forms))
 
 
-def clear_level_cache() -> None:
-    """Forget every generated level of both rules, so the next
-    enumeration runs cold."""
-    _level_forms.cache_clear()
-
-
 def enumerate_nonisomorphic(n: int) -> Iterator[Graph]:
     """Exactly one representative per isomorphism class on n vertices,
     in canonical-form order. Hard-capped at n <= 9."""

@@ -62,7 +62,7 @@ def best_of(runs: int, fn) -> float:
 @pytest.fixture(scope="module")
 def survey():
     """Fresh single-threaded exhaustive run over n = 1..8."""
-    enumeration.clear_level_cache()
+    enumeration._level_forms.cache_clear()
     start = time.perf_counter()
     summaries = {n: verify_section_3(n) for n in range(1, 9)}
     elapsed = time.perf_counter() - start

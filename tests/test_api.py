@@ -9,13 +9,19 @@ import pytest
 
 import cdgraph
 from cdgraph import (
+    Graph,
     block_decomposition,
+    canonical,
+    canonical_form,
     check_theorem_2_5,
     check_theorem_3_2,
     check_theorem_3_3,
     checks,
+    complete_graph,
+    enumerate_nonisomorphic,
     figure2_graph,
     lewis_partition,
+    odd_family,
     run_battery,
     validate_partition,
     verify_section_3,
@@ -56,6 +62,25 @@ def test_benchmark_traced_names_resolve(tracer):
     assert not missing
     replayed = ["check_" + check.replace("-", "_") for check in tracer.CHECK_IDS]
     assert [name for name in replayed if not hasattr(checks, name)] == []
+
+
+def test_canonical_form_refines_once_per_graph(monkeypatch):
+    # A traced run splits each canonical_form call into refined_colors
+    # (canonical.refine_s) and the rest (canonical.search_s), which holds
+    # only while every call with n >= 2 refines exactly once.
+    sizes = []
+    refine = canonical.refined_colors
+
+    def counting(n, adj):
+        sizes.append(n)
+        return refine(n, adj)
+
+    inputs = [Graph(0, []), *(g for n in range(1, 6) for g in enumerate_nonisomorphic(n))]
+    inputs += [path_graph(30), complete_graph(9), odd_family(14), figure2_graph()]
+    monkeypatch.setattr(canonical, "refined_colors", counting)
+    for g in inputs:
+        canonical_form(g)
+    assert sizes == [g.n for g in inputs if g.n >= 2]
 
 
 def test_package_imports_only_the_standard_library():

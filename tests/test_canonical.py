@@ -20,6 +20,7 @@ from cdgraph import (
     odd_family,
 )
 from cdgraph.canonical import _min_code_rows, refined_colors
+from cdgraph.enumeration import _all_neighborhoods, _level_forms
 from cdgraph.formats import graph6_bytes_from_rows
 from conftest import cycle_graph, disjoint_union, graph_from_mask, graphs, path_graph
 
@@ -94,12 +95,17 @@ def shrikhande() -> Graph:
 @st.composite
 def refinement_inputs(draw) -> Graph:
     """Graphs up to n = 62 of the shapes refinement meets: random,
-    regular (unions of circulants of one degree), joins, and blow-ups
-    full of twins."""
-    kind = draw(st.sampled_from(("random", "regular", "join", "twins")))
+    regular (unions of circulants of one degree), joins, blow-ups full
+    of twins, and relabeled paths, where each round splits one cell."""
+    kind = draw(st.sampled_from(("random", "regular", "join", "twins", "path")))
     rng = random.Random(draw(st.integers(0, 2**32)))
     if kind == "random":
         return random_graph(rng, rng.randint(1, 62), rng.random())
+    if kind == "path":
+        g = path_graph(rng.randint(2, 62))
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        return permuted(g, perm)
     if kind == "regular":
         k = rng.randint(1, 3)
         parts = [
@@ -315,6 +321,32 @@ class TestByteIdentity:
     def test_refined_colors_match_sorted_tuple_reference(self, g):
         expected = oracles.refined_colors_by_sorted_neighbors(g.n, g.edges())
         assert refined_colors(g.n, g.adjacency_masks) == expected
+
+    def test_refined_colors_match_reference_on_n7_candidates(self):
+        # Every labeled child the generator builds from the 156 classes on
+        # six vertices: 9,984 inputs.
+        for form in _level_forms(6, _all_neighborhoods):
+            masks = decode_graph6(form).adjacency_masks
+            for neighborhood in range(1 << 6):
+                child = [m | 64 if neighborhood >> i & 1 else m for i, m in enumerate(masks)]
+                g = Graph.from_masks(7, child + [neighborhood])
+                expected = oracles.refined_colors_by_sorted_neighbors(7, g.edges())
+                assert refined_colors(7, g.adjacency_masks) == expected
+
+    @pytest.mark.parametrize("n", range(2, 63))
+    def test_refined_colors_match_reference_on_paths(self, n):
+        # Each round splits one cell, the middle of the path, off its two
+        # outer vertices: P62 takes 30 rounds and ends with one cell per
+        # pair of mirror images.
+        g = path_graph(n)
+        color = refined_colors(n, g.adjacency_masks)
+        assert color == oracles.refined_colors_by_sorted_neighbors(n, g.edges())
+        assert max(color) + 1 == (n + 1) // 2
+
+    def test_refined_colors_match_reference_on_symmetric_graphs(self):
+        for g in [*named_symmetric().values(), *large_symmetric()]:
+            expected = oracles.refined_colors_by_sorted_neighbors(g.n, g.edges())
+            assert refined_colors(g.n, g.adjacency_masks) == expected
 
     @pytest.mark.parametrize("n", [2, 13, 62])  # 13 vertices: 78 bits, whole 6-bit groups
     def test_rows_packing_matches_encoder(self, n):

@@ -11,6 +11,7 @@ from cdgraph import (
     figure2_graph,
     is_regular,
     odd_family,
+    verify_section_3,
 )
 from cdgraph import cli
 from cdgraph.cli import main
@@ -259,9 +260,11 @@ class TestConstructAndFamily:
 class TestEnumerate:
     def test_summary_n5(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "--n", "5", "--summary")
-        assert code == 0
+        assert code == 0 and out == verify_section_3(5).to_json() + "\n"
         payload = json.loads(out)
         assert payload["total_nonisomorphic"] == 34
+        for flags in (("--filter", "all"), ("--emit", "json"), ("--emit", "graph6")):
+            assert run_cli(capsys, "enumerate", "--n", "5", "--summary", *flags) == (0, out, "")
 
     def test_admissible_stream(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "--n", "4", "--filter", "admissible")
@@ -315,6 +318,15 @@ class TestEnumerate:
     def test_summary_out_of_range(self, capsys, n):
         code, out, err = run_cli(capsys, "enumerate", "--n", n, "--summary")
         assert code == 2 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--filter", "admissible"), ("--filter", "all-odd"), ("--emit", "edgelist")],
+    )
+    def test_summary_rejects_stream_options(self, capsys, flags):
+        code, out, err = run_cli(capsys, "enumerate", "--n", "5", "--summary", *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and flags[0] in err and "--summary" in err
 
     def test_graph6_emit_spelling(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "--n", "3", "--emit", "graph6")
