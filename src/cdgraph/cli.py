@@ -73,6 +73,8 @@ def _read_graph(args: argparse.Namespace) -> Graph:
     if args.g6 is not None:
         if args.input is not None:
             raise ValueError("give either an input path or --g6, not both")
+        if args.format == "edgelist":
+            raise ValueError("--g6 takes a graph6 string; --format edgelist reads an input path")
         return decode_graph6(args.g6.strip())
     if args.input is None or args.input == "-":
         text = sys.stdin.read(_MAX_INPUT_CHARS + 1)

@@ -15,6 +15,7 @@ re-checks all five properties with witnesses, since arbitrary inputs
 need not satisfy them. Partitions are read off the graph's cached BFS
 layer masks (rho3 and rho4 are the layers at distance 2 and 3), and
 each property is tested with one adjacency-mask operation per vertex.
+A theorem check reuses the validity its caller holds, if any.
 
 Theorem checks on graphs that pass the necessary-condition battery but
 are not genuine degree graphs may legitimately fail; such outcomes are
@@ -294,21 +295,24 @@ def rho23_predicate(g: Graph, p: LewisPartition, mode: str) -> bool:
     return RHO23_PREDICATES[mode](g, p)
 
 
-def check_theorem_3_2(g: Graph, p: LewisPartition, eulerian_mode: str = EULERIAN_STANDARD) -> OddDegreeVerdict:
+def check_theorem_3_2(
+    g: Graph,
+    p: LewisPartition,
+    eulerian_mode: str = EULERIAN_STANDARD,
+    validity: PartitionValidity | None = None,
+) -> OddDegreeVerdict:
     """Evaluate the odd-degree characterization on a valid partition.
 
     all-odd  <=>  block, |rho1+rho2| even, |rho3+rho4| even, and the
     rho2/rho3 condition under the chosen ``RHO23_PREDICATES`` entry.
     Raises when the partition fails validation (the theorem's hypotheses
-    are unmet) or the predicate name is unknown.
+    are unmet) or the predicate name is unknown. ``validity`` is
+    ``validate_partition(g, p)``, computed here when not given.
     """
-    validity = validate_partition(g, p)
+    if validity is None:
+        validity = validate_partition(g, p)
     if not validity.valid:
         raise ValueError(f"partition is not valid: {dict(validity.witnesses)}")
-    return _theorem_3_2(g, p, eulerian_mode)
-
-
-def _theorem_3_2(g: Graph, p: LewisPartition, eulerian_mode: str) -> OddDegreeVerdict:
     is_all_odd = gr.all_degrees_odd(g)
     is_block = gr.is_block(g)
     rho12_even = len(p.rho1 | p.rho2) % 2 == 0
@@ -350,20 +354,14 @@ def check_theorem_3_3(g: Graph) -> TheoremVerdict:
     )
 
 
-def _on_hypotheses(g: Graph, p: LewisPartition) -> bool:
-    """Diameter 3 (so connected) and ``p`` validates: what 2.5 and 2.7 assume."""
-    return gr.diameter(g) == 3 and validate_partition(g, p).valid
-
-
-def check_theorem_2_5(g: Graph, p: LewisPartition) -> TheoremVerdict:
+def check_theorem_2_5(g: Graph, p: LewisPartition, validity: PartitionValidity | None = None) -> TheoremVerdict:
     """Exactly one cut vertex <=> |rho2| = 1, and then the cut vertex is
     the rho2 member. Not applicable off the diameter-3 valid-partition
-    hypotheses."""
-    return _theorem_2_5(g, p, _on_hypotheses(g, p))
-
-
-def _theorem_2_5(g: Graph, p: LewisPartition, applicable: bool) -> TheoremVerdict:
-    if not applicable:
+    hypotheses. ``validity`` is ``validate_partition(g, p)``, computed
+    here on a diameter-3 graph when not given."""
+    if validity is None and gr.diameter(g) == 3:
+        validity = validate_partition(g, p)
+    if validity is None or not validity.valid or gr.diameter(g) != 3:
         return TheoremVerdict("2.5", NOT_APPLICABLE)
     cuts = sorted(gr.cut_vertices(g))
     rho2 = sorted(p.rho2)
@@ -375,13 +373,12 @@ def _theorem_2_5(g: Graph, p: LewisPartition, applicable: bool) -> TheoremVerdic
     return TheoremVerdict("2.5", PASS, details)
 
 
-def check_theorem_2_7(g: Graph, p: LewisPartition) -> TheoremVerdict:
-    """Block <=> both |rho2| >= 2 and |rho3| >= 2."""
-    return _theorem_2_7(g, p, _on_hypotheses(g, p))
-
-
-def _theorem_2_7(g: Graph, p: LewisPartition, applicable: bool) -> TheoremVerdict:
-    if not applicable:
+def check_theorem_2_7(g: Graph, p: LewisPartition, validity: PartitionValidity | None = None) -> TheoremVerdict:
+    """Block <=> both |rho2| >= 2 and |rho3| >= 2; hypotheses and
+    ``validity`` as for ``check_theorem_2_5``."""
+    if validity is None and gr.diameter(g) == 3:
+        validity = validate_partition(g, p)
+    if validity is None or not validity.valid or gr.diameter(g) != 3:
         return TheoremVerdict("2.7", NOT_APPLICABLE)
     block = gr.is_block(g)
     sizes_ok = len(p.rho2) >= 2 and len(p.rho3) >= 2
@@ -425,11 +422,11 @@ def partition_report(g: Graph, eulerian_mode: str = EULERIAN_STANDARD) -> dict[s
         "base_vertices": [{"r": r, "valid": validity.valid} for r in bases],
     }
     theorems: dict[str, Any] = {
-        "2.5": _theorem_2_5(g, p, validity.valid).to_dict(),
-        "2.7": _theorem_2_7(g, p, validity.valid).to_dict(),
+        "2.5": check_theorem_2_5(g, p, validity).to_dict(),
+        "2.7": check_theorem_2_7(g, p, validity).to_dict(),
     }
     if validity.valid:
-        theorems["3.2"] = _theorem_3_2(g, p, eulerian_mode).to_dict()
+        theorems["3.2"] = check_theorem_3_2(g, p, eulerian_mode, validity).to_dict()
     report["theorems"] = theorems
     report["theorem_3_3"] = check_theorem_3_3(g).to_dict()
     return report

@@ -142,6 +142,15 @@ class TestCheck:
         code, _, _ = run_cli(capsys, "check", str(path), "--g6", "Ch")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["check", "lewis"])
+    def test_g6_with_edgelist_format_exits_2(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--g6", "E~rG", "--format", "edgelist")
+        assert code == 2 and out == "" and err.startswith("error:") and "--format edgelist" in err
+        expected = run_cli(capsys, command, "--g6", "E~rG")
+        assert expected[0] in (0, 1) and expected[1]
+        for fmt in ("graph6", "g6", "auto"):
+            assert run_cli(capsys, command, "--g6", "E~rG", "--format", fmt) == expected
+
     def test_empty_graph_rejected_downstream(self, capsys):
         code, _, err = run_cli(capsys, "check", "--g6", "?")
         assert code == 2 and "error" in err

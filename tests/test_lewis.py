@@ -333,6 +333,14 @@ class TestTheorem25:
     def test_not_applicable_off_hypotheses(self):
         fake = LewisPartition(0, 3, frozenset({0}), frozenset({1}), frozenset({2}), frozenset({3}))
         assert check_theorem_2_5(cycle_graph(4), fake).verdict == NOT_APPLICABLE
+        # This partition validates, but the graph is disconnected.
+        edgeless = Graph(2, [])
+        split = LewisPartition(0, 1, frozenset({0}), frozenset(), frozenset(), frozenset({1}))
+        validity = validate_partition(edgeless, split)
+        assert validity.valid
+        for check in (check_theorem_2_5, check_theorem_2_7):
+            assert check(edgeless, split).verdict == NOT_APPLICABLE
+            assert check(edgeless, split, validity).verdict == NOT_APPLICABLE
 
     def test_verdict_depends_on_the_base_vertex(self):
         # FwCZw is admissible with diameter 3 and one cut vertex, 6. From
@@ -454,3 +462,49 @@ class TestOnePassPerGraph:
         assert counts["validate_partition"] == summary.diameter3_surveyed + len(
             summary.diameter3_no_valid_partition
         )
+
+
+class TestValidityArgument:
+    """A check handed ``validate_partition(g, p)`` gives the verdict it
+    would compute itself, without validating again."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return [
+            (g, p, validity)
+            for n in range(1, 8)
+            for g in enumerate_nonisomorphic(n)
+            if diameter(g) == 3
+            for _, p, validity in enumerate_lewis_partitions(g)
+        ]
+
+    def test_verdicts_match_and_nothing_is_revalidated(self, monkeypatch, cases):
+        assert any(v.valid for _, _, v in cases) and not all(v.valid for _, _, v in cases)
+        counts = count_calls(monkeypatch, "validate_partition")
+        reused = [
+            (
+                check_theorem_2_5(g, p, validity),
+                check_theorem_2_7(g, p, validity),
+                [check_theorem_3_2(g, p, mode, validity) for mode in RHO23_PREDICATES]
+                if validity.valid
+                else None,
+            )
+            for g, p, validity in cases
+        ]
+        assert counts["validate_partition"] == 0
+        computed = [
+            (
+                check_theorem_2_5(g, p),
+                check_theorem_2_7(g, p),
+                [check_theorem_3_2(g, p, mode) for mode in RHO23_PREDICATES] if validity.valid else None,
+            )
+            for g, p, validity in cases
+        ]
+        assert reused == computed
+
+    def test_invalid_validity_raises(self, cases):
+        invalid = [(g, p, validity) for g, p, validity in cases if not validity.valid]
+        assert invalid
+        for g, p, validity in invalid:
+            with pytest.raises(ValueError):
+                check_theorem_3_2(g, p, EULERIAN_STANDARD, validity)
