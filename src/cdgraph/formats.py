@@ -113,6 +113,19 @@ def encode_edgelist(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _decimal(token: str) -> int | None:
+    # ASCII ``-?[0-9]+`` only: ``int`` also takes other scripts' digits,
+    # underscores and a leading ``+``. None for anything else, and for a
+    # token past ``int``'s digit limit.
+    digits = token[1:] if token[:1] == "-" else token
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return int(token)
+    except ValueError:
+        return None
+
+
 def decode_edgelist(text: str) -> Graph:
     # Errors name physical lines, so number them before dropping blank ones.
     lines = [(lineno, line.strip()) for lineno, line in enumerate(text.splitlines(), start=1)]
@@ -120,10 +133,9 @@ def decode_edgelist(text: str) -> Graph:
     if not lines:
         raise ValueError("edge-list input is empty")
     header = lines[0][1]
-    try:
-        n = int(header)
-    except ValueError:
-        raise ValueError(f"edge-list header {header!r} is not a vertex count") from None
+    n = _decimal(header)
+    if n is None:
+        raise ValueError(f"edge-list header {header!r} is not a vertex count")
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     if n > GRAPH6_MAX_N:
@@ -133,10 +145,9 @@ def decode_edgelist(text: str) -> Graph:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer endpoint in {line!r}") from None
+        u, v = _decimal(parts[0]), _decimal(parts[1])
+        if u is None or v is None:
+            raise ValueError(f"line {lineno}: non-integer endpoint in {line!r}")
         if not (0 <= u < n and 0 <= v < n):
             if n == 0:
                 raise ValueError(f"line {lineno}: edge ({u}, {v}) given for a graph with no vertices")

@@ -147,8 +147,13 @@ def search_inputs(draw) -> Graph:
 
 def named_symmetric() -> dict[str, Graph]:
     """Vertex-transitive and twin-heavy graphs on which the search
-    branches most; the last three have cells of 12 to 16 vertices (twins
-    in the family member and in K4,4,4,4), so many ties are carried."""
+    branches most; family16, coC16 and K4444 have cells of 12 to 16
+    vertices (twins in the family member and in K4,4,4,4), so many ties
+    are carried. Twins also fill the cells of the other family members
+    (true twins) and of the complete multipartite graphs (false twins);
+    the star and K1,2,3,4 refine to twin classes only, so they skip the
+    search, while in the others a cell holds more than one twin class,
+    or twins and non-twins."""
     named = {f"C{m}": cycle_graph(m) for m in range(10, 14)}
     named.update(
         Petersen=petersen(),
@@ -163,6 +168,12 @@ def named_symmetric() -> dict[str, Graph]:
         family16=odd_family(16),
         coC16=complement(cycle_graph(16)),
         K4444=complete_multipartite(4, 4),
+        family14=odd_family(14),
+        family30=odd_family(30),
+        K333=complete_multipartite(3, 3),
+        K2233=blow_up(complete_graph(4), [2, 2, 3, 3], [False] * 4),
+        K1234=blow_up(complete_graph(4), [1, 2, 3, 4], [False] * 4),
+        star=Graph(8, [(0, v) for v in range(1, 8)]),
     )
     return named
 
@@ -324,14 +335,18 @@ class TestByteIdentity:
 
     def test_refined_colors_match_reference_on_n7_candidates(self):
         # Every labeled child the generator builds from the 156 classes on
-        # six vertices: 9,984 inputs.
+        # six vertices: 9,984 inputs. 7,466 of them refine to a discrete
+        # coloring or to twin classes only, and so skip the search.
         for form in _level_forms(6, _all_neighborhoods):
             masks = decode_graph6(form).adjacency_masks
             for neighborhood in range(1 << 6):
                 child = [m | 64 if neighborhood >> i & 1 else m for i, m in enumerate(masks)]
                 g = Graph.from_masks(7, child + [neighborhood])
-                expected = oracles.refined_colors_by_sorted_neighbors(7, g.edges())
+                edges = g.edges()
+                expected = oracles.refined_colors_by_sorted_neighbors(7, edges)
                 assert refined_colors(7, g.adjacency_masks) == expected
+                expected_rows = oracles.min_code_rows_by_frontier(7, edges)
+                assert _min_code_rows(7, g.adjacency_masks) == expected_rows
 
     @pytest.mark.parametrize("n", range(2, 63))
     def test_refined_colors_match_reference_on_paths(self, n):
@@ -399,9 +414,10 @@ class TestByteIdentity:
     def test_min_code_rows_match_frontier_on_symmetric_graphs(self, name):
         g = named_symmetric()[name]
         expected = oracles.min_code_rows_by_frontier(g.n, g.edges())
+        assert _min_code_rows(g.n, g.adjacency_masks) == expected
         rng = random.Random(name)
         for _ in range(3):
-            assert _min_code_rows(g.n, g.adjacency_masks) == expected
             perm = list(range(g.n))
             rng.shuffle(perm)
             g = permuted(g, perm)
+            assert _min_code_rows(g.n, g.adjacency_masks) == expected

@@ -87,6 +87,23 @@ class TestCheck:
         code, out, err = run_cli(capsys, "check", "-")
         assert code == 2 and out == "" and "n <= 62" in err
 
+    def test_non_ascii_digit_endpoint_on_stdin_exits_2(self, capsys, monkeypatch):
+        # `printf '4\n\u0663 1\n0 2\n' | cdgraph check -`: int() would read
+        # the Arabic-Indic three as vertex 3.
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("4\n\u0663 1\n0 2\n"))
+        code, out, err = run_cli(capsys, "check", "-")
+        assert code == 2 and out == ""
+        assert err == "error: line 2: non-integer endpoint in '\u0663 1'\n"
+
+    def test_underscore_header_with_edgelist_format_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("1_0\n0 1\n")
+        code, out, err = run_cli(capsys, "check", str(path), "--format", "edgelist")
+        assert code == 2 and out == ""
+        assert err == "error: edge-list header '1_0' is not a vertex count\n"
+
     @pytest.mark.parametrize("command", ["check", "lewis"])
     def test_several_graph6_lines_exit_2(self, capsys, tmp_path, monkeypatch, command):
         # One graph per input: a graph6 stream is refused, not checked

@@ -212,6 +212,44 @@ class TestEdgeList:
         with pytest.raises(ValueError):
             decode_edgelist("2\n0 5\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1_0\n", "edge-list header '1_0' is not a vertex count"),
+            ("+3\n", "edge-list header '+3' is not a vertex count"),
+            ("\u0663\n", "edge-list header '\u0663' is not a vertex count"),
+            ("-\n", "edge-list header '-' is not a vertex count"),
+            ("--1\n", "edge-list header '--1' is not a vertex count"),
+            ("4\n\u0663 1\n0 2\n", "line 2: non-integer endpoint in '\u0663 1'"),
+            ("3\n0 +1\n", "line 2: non-integer endpoint in '0 +1'"),
+            ("3\n0 1_0\n", "line 2: non-integer endpoint in '0 1_0'"),
+            ("3\n0 \u00b2\n", "line 2: non-integer endpoint in '0 \u00b2'"),
+        ],
+        ids=[
+            "underscore-header",
+            "plus-header",
+            "arabic-indic-header",
+            "bare-minus-header",
+            "double-minus-header",
+            "arabic-indic-endpoint",
+            "plus-endpoint",
+            "underscore-endpoint",
+            "superscript-endpoint",
+        ],
+    )
+    def test_only_ascii_decimal_tokens(self, text, message):
+        # ``int`` would read each of these as a number.
+        with pytest.raises(ValueError) as excinfo:
+            decode_edgelist(text)
+        assert str(excinfo.value) == message
+
+    def test_ascii_decimal_tokens_still_read(self):
+        assert decode_edgelist("003\n00 2\n").edges() == [(0, 2)]
+        with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+            decode_edgelist("-0001\n")
+        with pytest.raises(ValueError, match="endpoint outside 0..2"):
+            decode_edgelist("3\n-1 0\n")
+
 
 def decodes_or_refuses(decode, data) -> None:
     """A decoder either returns a graph within the graph6 range or
