@@ -29,22 +29,24 @@ Otherwise stage 2 is a depth-first branch-and-bound search. It extends
 an order one position at a time, taking forced steps (one candidate with
 the minimal next row) in a loop, branching only on candidates that tie,
 and abandoning a branch as soon as its next row exceeds the best code's
-row there. A tie's rows carry into its children: a row against a longer
-prefix is the shorter row with one more bit, so below a tie only the
-tie's other members can reach the least row, and each one's row is the
-tie's row and its adjacency to the vertex just placed. Later positions
-compute every row against the whole prefix. Two complete orders with
-equal codes give an automorphism of the graph (McKay and Piperno 2014):
-it is kept as a generator, and the search backtracks to where the two
-orders part, because it maps the explored branch there onto the current
-one. At a tie it skips candidates in the orbit of an explored one under
-the stored generators that fix the current prefix pointwise, and under
-the transpositions of twins, which prune before any automorphism is
-known. Every pruning step maps skipped orders onto explored ones with
-the same code, so the minimum, and every form, is the one an exhaustive
-search over the same orders finds. The search stays exponential on large
-sparse vertex-transitive graphs: one ``canonical_form`` of C16 takes
-about 0.2 s (Python 3.11, one core of a 2-vCPU VM). Exactness for the
+row there. Rows are computed against the whole prefix only at a cell's
+first position: a row against a longer prefix is the shorter row with
+one more bit, the adjacency to the vertex just placed, so the cell's
+unused members carry their rows to the next position, in a forced step
+and into each child of a tie. A member whose row exceeded the least
+still exceeds it one bit later, so the least rows and the ties are those
+of rows computed afresh. Two complete orders with equal codes give an
+automorphism of the graph (McKay and Piperno 2014): it is kept as a
+generator, and the search backtracks to where the two orders part,
+because it maps the explored branch there onto the current one. At a tie
+it skips candidates in the orbit of an explored one under the stored
+generators that fix the current prefix pointwise, and under the
+transpositions of twins, which prune before any automorphism is known.
+Every pruning step maps skipped orders onto explored ones with the same
+code, so the minimum, and every form, is the one an exhaustive search
+over the same orders finds. The search stays exponential on large sparse
+vertex-transitive graphs: one ``canonical_form`` of C16 takes about
+0.13 s (Python 3.11, one core of a 2-vCPU VM). Exactness for the
 package's working range is cross-checked in the test suite against
 brute-force permutation search, a breadth-first frontier search over the
 same orders, and known isomorphism-class counts.
@@ -195,58 +197,47 @@ def _min_code_rows(n: int, adj: tuple[int, ...]) -> list[int]:
     best_order: list[int] = []
     generators: list[list[int]] = []
 
-    def search(
-        order: list[int], rows: list[int], used: int, tight: bool, rivals: list[int] | tuple[()] = ()
-    ) -> int:
+    def search(order: list[int], rows: list[int], tight: bool, pending: list[tuple[int, int]]) -> int:
         # Extend ``order`` depth-first and return the position to
         # backtrack to: n, or the position where an automorphism just
         # found maps an explored branch onto the current one. ``tight``
         # says that the code so far equals the best code's prefix.
-        # ``rivals`` is the tie that ``order[-1]`` was taken from, if any.
+        # ``pending`` holds (row, v) for the unused members of the cell
+        # being filled, in cell order, each row against the whole of
+        # ``order``; it is empty at a cell's first position.
         pos = len(order)
         while pos < n:
-            if rivals:
-                # The first position below a tie: the tie's other members
-                # are still in this cell, their rows against order[:-1] all
-                # equal rows[-1] and every other member's row is larger, so
-                # the least rows extend rows[-1] by the rivals' bits against
-                # ``last``, read off the symmetric adj[last].
-                last = order[-1]
-                least = rows[-1] << 1
-                near = adj[last]
-                tied: list[int] = []
-                for v in rivals:
-                    if not near >> v & 1 and v != last:
-                        tied.append(v)
-                if not tied:
-                    least |= 1
-                    tied = list(rivals)
-                    tied.remove(last)
-                rivals = ()
-            else:
-                least = -1
-                tied = []
+            if not pending:
                 for v in position_members[pos]:
-                    if used >> v & 1:
-                        continue
                     av = adj[v]
                     row = 0
                     for u in order:
                         row = row << 1 | (av >> u & 1)
-                    if least < 0 or row < least:
-                        least = row
-                        tied = [v]
-                    elif row == least:
-                        tied.append(v)
+                    pending.append((row, v))
+            least = -1
+            tied: list[int] = []
+            for row, v in pending:
+                if least < 0 or row < least:
+                    least = row
+                    tied = [v]
+                elif row == least:
+                    tied.append(v)
             if tight:
                 if least > best_rows[pos]:
                     return n
                 tight = least == best_rows[pos]
             if len(tied) > 1:
                 break
-            order.append(tied[0])
+            x = tied[0]
+            order.append(x)
             rows.append(least)
-            used |= 1 << tied[0]
+            # Each row gains one bit, read off the symmetric adj[x].
+            near = adj[x]
+            extended: list[tuple[int, int]] = []
+            for row, v in pending:
+                if v != x:
+                    extended.append((row << 1 | (near >> v & 1), v))
+            pending = extended
             pos += 1
         else:
             if not tight:
@@ -288,7 +279,11 @@ def _min_code_rows(n: int, adj: tuple[int, ...]) -> list[int]:
             if fixing:
                 skip = _orbits(skip, fixing)
             order.append(v)
-            level = search(order, rows, used | 1 << v, tight, tied)
+            child: list[tuple[int, int]] = []
+            for row, w in pending:
+                if w != v:
+                    child.append((row << 1 | (av >> w & 1), w))
+            level = search(order, rows, tight, child)
             del order[pos:]
             del rows[pos + 1 :]
             if level < pos:
@@ -297,7 +292,7 @@ def _min_code_rows(n: int, adj: tuple[int, ...]) -> list[int]:
             tight = True
         return n
 
-    search([], [], 0, False)
+    search([], [], False, [])
     # ``search`` refers to itself; deleting it frees the closure at once
     # instead of leaving a cycle to the garbage collector.
     del search

@@ -29,6 +29,7 @@ from .enumeration import (
 )
 from .formats import (
     GRAPH6_MAX_N,
+    _text_lines,
     decode_edgelist,
     decode_graph6,
     encode_edgelist,
@@ -75,23 +76,28 @@ def _read_graph(args: argparse.Namespace) -> Graph:
             raise ValueError("give either an input path or --g6, not both")
         if args.format == "edgelist":
             raise ValueError("--g6 takes a graph6 string; --format edgelist reads an input path")
-        return decode_graph6(args.g6.strip())
+        return _decode_one_graph6(args.g6)
     if args.input is None or args.input == "-":
         text = sys.stdin.read(_MAX_INPUT_CHARS + 1)
     else:
-        with open(args.input, "r", encoding="ascii") as handle:
+        # newline="" keeps a lone "\r", which ends no line, for the decoder.
+        with open(args.input, "r", encoding="ascii", newline="") as handle:
             text = handle.read(_MAX_INPUT_CHARS + 1)
     if len(text) > _MAX_INPUT_CHARS:
         raise ValueError(f"input is longer than {_MAX_INPUT_CHARS} characters")
-    lines = [line.strip() for line in text.strip().splitlines()]
-    if not lines:
-        raise ValueError("empty input")
     fmt = args.format
     if fmt == "auto":
-        fmt = "edgelist" if lines[0].lstrip("-").isdigit() else "g6"
+        first = next((line for line in _text_lines(text) if line), "")
+        fmt = "edgelist" if first.lstrip("-").isdigit() else "g6"
     if fmt == "edgelist":
         return decode_edgelist(text)
-    graphs = [line for line in lines if line]
+    return _decode_one_graph6(text)
+
+
+def _decode_one_graph6(text: str) -> Graph:
+    graphs = [line for line in _text_lines(text) if line]
+    if not graphs:
+        raise ValueError("empty input")
     if len(graphs) > 1:
         raise ValueError(f"graph6 input holds {len(graphs)} graphs; give one graph per input")
     return decode_graph6(graphs[0])
@@ -144,7 +150,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     elif args.kind == "figure2":
         g = figure2_graph()
     else:
-        a, b = decode_graph6(args.a.strip()), decode_graph6(args.b.strip())
+        a, b = _decode_one_graph6(args.a), _decode_one_graph6(args.b)
         _require_graph6_size(a.n + b.n)
         g = direct_product(a, b)
     _emit_graph(g, args.emit)

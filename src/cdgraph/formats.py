@@ -126,10 +126,18 @@ def _decimal(token: str) -> int | None:
         return None
 
 
+def _text_lines(text: str) -> list[str]:
+    # Graph text's lines, blank ones kept: only "\n" ends a line (a "\r"
+    # right before it is dropped, so "\r\n" text reads), and only spaces
+    # and tabs pad a line or separate its tokens. Any other character,
+    # such as U+001C, U+0085, U+2028, U+3000 or a lone "\r", stays in its
+    # token for the decoder to refuse.
+    return [line.removesuffix("\r").strip(" \t") for line in text.split("\n")]
+
+
 def decode_edgelist(text: str) -> Graph:
     # Errors name physical lines, so number them before dropping blank ones.
-    lines = [(lineno, line.strip()) for lineno, line in enumerate(text.splitlines(), start=1)]
-    lines = [(lineno, line) for lineno, line in lines if line]
+    lines = [(lineno, line) for lineno, line in enumerate(_text_lines(text), start=1) if line]
     if not lines:
         raise ValueError("edge-list input is empty")
     header = lines[0][1]
@@ -142,7 +150,7 @@ def decode_edgelist(text: str) -> Graph:
         raise ValueError(f"edge-list header {n} exceeds the n <= {GRAPH6_MAX_N} vertex limit")
     masks = [0] * n
     for lineno, line in lines[1:]:
-        parts = line.split()
+        parts = [part for part in line.replace("\t", " ").split(" ") if part]
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")
         u, v = _decimal(parts[0]), _decimal(parts[1])

@@ -148,12 +148,13 @@ def search_inputs(draw) -> Graph:
 def named_symmetric() -> dict[str, Graph]:
     """Vertex-transitive and twin-heavy graphs on which the search
     branches most; family16, coC16 and K4444 have cells of 12 to 16
-    vertices (twins in the family member and in K4,4,4,4), so many ties
-    are carried. Twins also fill the cells of the other family members
-    (true twins) and of the complete multipartite graphs (false twins);
-    the star and K1,2,3,4 refine to twin classes only, so they skip the
-    search, while in the others a cell holds more than one twin class,
-    or twins and non-twins."""
+    vertices (twins in the family member and in K4,4,4,4), so rows are
+    carried over long runs of one cell and into many ties. Twins also
+    fill the cells of the other family members (true twins) and of the
+    complete multipartite graphs (false twins); the star and K1,2,3,4
+    refine to twin classes only, so they skip the search, while in the
+    others a cell holds more than one twin class, or twins and
+    non-twins."""
     named = {f"C{m}": cycle_graph(m) for m in range(10, 14)}
     named.update(
         Petersen=petersen(),
@@ -181,7 +182,8 @@ def named_symmetric() -> dict[str, Graph]:
 def large_symmetric() -> list[Graph]:
     """The odd-degree family members with n = 10..62, step 4, the
     complements of C10..C37, step 3, C10..C13, Petersen, Paley13 and
-    Paley17: large cells whose ties the search carries into children."""
+    Paley17: large cells, whose rows the search carries over long runs
+    of positions and into the children of ties."""
     large = [odd_family(n) for n in range(10, 63, 4)]
     large += [complement(cycle_graph(m)) for m in range(10, 38, 3)]
     large += [cycle_graph(m) for m in range(10, 14)]
@@ -421,3 +423,20 @@ class TestByteIdentity:
             rng.shuffle(perm)
             g = permuted(g, perm)
             assert _min_code_rows(g.n, g.adjacency_masks) == expected
+
+    @pytest.mark.parametrize("n", range(10, 63, 4))
+    def test_min_code_rows_match_frontier_on_large_joins(self, n):
+        # A random graph joined with a 5- to 9-cycle: the cycle's cell is
+        # no twin class, so the search runs, and its rows are carried
+        # against prefixes up to 57 vertices long, past search_inputs'
+        # n <= 12.
+        rng = random.Random(f"join-{n}")
+        m = rng.randint(5, 9)
+        g = direct_product(random_graph(rng, n - m, rng.uniform(0.3, 0.9)), cycle_graph(m))
+        expected = oracles.min_code_rows_by_frontier(n, g.edges())
+        assert _min_code_rows(n, g.adjacency_masks) == expected
+        for _ in range(2):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = permuted(g, perm)
+            assert _min_code_rows(n, h.adjacency_masks) == expected

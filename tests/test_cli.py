@@ -124,6 +124,25 @@ class TestCheck:
         code, _, _ = run_cli(capsys, command, str(path))
         assert code == (1 if command == "check" else 0)
 
+    def test_graph6_separators_beyond_blanks_exit_2(self, capsys, monkeypatch, tmp_path):
+        # Only "\n" (or "\r\n") ends a line and only spaces and tabs pad
+        # one, on stdin and in --g6 alike.
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("Ch\x1c\n"))
+        code, out, err = run_cli(capsys, "check", "-")
+        assert code == 2 and out == "" and err.startswith("error:")
+        code, out, err = run_cli(capsys, "check", "--g6", "\u3000Ch")
+        assert code == 2 and out == "" and err.startswith("error:")
+        expected = run_cli(capsys, "check", "--g6", "Ch")
+        assert expected[0] == 1
+        assert run_cli(capsys, "check", "--g6", " \tCh\r\n") == expected
+        monkeypatch.setattr("sys.stdin", io.StringIO("\r\nCh \r\n"))
+        assert run_cli(capsys, "check", "-") == expected
+        path = tmp_path / "g.g6"
+        path.write_bytes(b"Ch\r\n")
+        assert run_cli(capsys, "check", str(path)) == expected
+
     def test_endless_stdin_exits_2_after_the_input_limit(self, capsys, monkeypatch):
         # `yes | cdgraph check -`: stdin is read with a size, never whole.
         class EndlessStdin:

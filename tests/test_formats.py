@@ -1,3 +1,5 @@
+import io
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -249,6 +251,37 @@ class TestEdgeList:
             decode_edgelist("-0001\n")
         with pytest.raises(ValueError, match="endpoint outside 0..2"):
             decode_edgelist("3\n-1 0\n")
+
+    @pytest.mark.parametrize(
+        "sep",
+        ["\x1c", "\x85", "\u2028", "\u3000", "\v", "\f", "\r"],
+        ids=["U+001C", "U+0085", "U+2028", "U+3000", "vertical-tab", "form-feed", "lone-cr"],
+    )
+    def test_only_newline_ends_a_line_and_only_blanks_separate(self, sep, capsys, monkeypatch, tmp_path):
+        # str.splitlines and str.split would read each of these as a line
+        # break or a space; here it stays in its token and is refused, on
+        # stdin and in a file alike.
+        texts = [f"3{sep}0 1{sep}1 2\n", f"3\n0{sep}1\n", f"3\n0 1{sep}1 2\n", f"3\n{sep}0 1\n"]
+        path = tmp_path / "g.txt"
+        for text in texts:
+            with pytest.raises(ValueError):
+                decode_edgelist(text)
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            path.write_bytes(text.encode("utf-8"))
+            for source in ("-", str(path)):
+                assert main(["check", source]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == "" and captured.err.startswith("error:")
+
+    def test_crlf_spaces_and_tabs_still_read(self, tmp_path, capsys):
+        text = "3\r\n\t0 1\r\n\r\n1 \t 2 \r\n"
+        assert decode_edgelist(text).edges() == [(0, 1), (1, 2)]
+        path = tmp_path / "g.txt"
+        path.write_bytes(text.encode("ascii"))
+        assert main(["check", str(path)]) == 0
+        from_file = capsys.readouterr()
+        assert main(["check", "--g6", encode_graph6(path_graph(3)).decode("ascii")]) == 0
+        assert capsys.readouterr() == from_file
 
 
 def decodes_or_refuses(decode, data) -> None:
