@@ -5,17 +5,23 @@ predicates used by the solvable-group checks (degrees, distances,
 components, blocks) are single-word operations for the graph orders
 this package targets.
 
-BFS layers and blocks are computed at most once per ``Graph`` and
-cached on it: the layers from a source (entry d masks the vertices at
-distance d) the first time some function asks for them, the block
-decomposition the first time cut vertices or blocks are asked for.
-Every distance question reads the layer masks and ``is_block`` the
-block count, so ``_bfs_layers`` and ``_decompose`` are the only
-traversals, and only ``bfs_distances`` writes out per-vertex distances.
-The battery, the Lewis partitions and the theorem verdicts all read the
-same cached structure. A graph that ``decode_graph6`` built also keeps
-the bytes it was decoded from, which ``encode_graph6`` returns. The
-caches never enter ``==`` or ``hash``.
+Distances and blocks are computed at most once per ``Graph`` and cached
+on it, each by one traversal the first time some function asks for it.
+Distances come from one all-sources BFS over n*n-bit layer matrices:
+entry d of ``_distance_layers`` holds, in row s, the mask of the
+vertices at distance d from s. Layer 0 is the identity, layer 1 the
+adjacency matrix, and each later layer one boolean matrix product done
+as a shift, a mask and a multiply per vertex, so the pass costs a few
+big-int operations per vertex and layer, whatever the number of
+sources; it keeps one n*n-bit int per layer, about 0.5 KB at the graph6
+limit n = 62. Connectivity, components, eccentricity, the diameter, the
+periphery and the Lewis layers read rows of those matrices, and
+``is_block`` reads the block count, so ``_distance_layers`` and
+``_decompose`` are the only traversals; only ``bfs_distances`` writes
+out per-vertex distances. The battery, the Lewis partitions and the
+theorem verdicts all read the same cached structure. A graph that
+``decode_graph6`` built also keeps the bytes it was decoded from, which
+``encode_graph6`` returns. The caches never enter ``==`` or ``hash``.
 """
 
 from __future__ import annotations
@@ -40,9 +46,11 @@ class Graph:
     Instances are immutable after construction and hashable, so they are
     safe to share across workers and to use as cache keys. The private
     ``_dist`` and ``_blocks`` slots are lazily filled caches of derived
-    structure, BFS layer masks per source and the block decomposition
-    (see the module docstring), and ``_g6`` holds the graph6 bytes a
-    decoded graph came from; equality and hashing ignore them.
+    structure, the tuple of distance-layer matrices (entry d holds, in
+    row s, the vertices at distance d from s) and the block
+    decomposition (see the module docstring), and ``_g6`` holds the
+    graph6 bytes a decoded graph came from; equality and hashing ignore
+    them.
     """
 
     __slots__ = ("n", "_adj", "_dist", "_blocks", "_g6")
@@ -60,7 +68,7 @@ class Graph:
             adj[v] |= 1 << u
         self.n: int = n
         self._adj: tuple[int, ...] = tuple(adj)
-        self._dist: list[tuple[int, ...] | None] | None = None
+        self._dist: tuple[int, ...] | None = None
         self._blocks: BlockDecomposition | None = None
         self._g6: bytes | None = None
 
@@ -149,48 +157,48 @@ def is_connected(g: Graph) -> bool:
 
 
 def _layers(g: Graph, source: int) -> tuple[int, ...]:
-    """Cached BFS layers from ``source``: entry d is the mask of the
-    vertices at distance d, and unreachable vertices are in no entry
-    (unchecked; callers validate)."""
-    cache = g._dist
-    if cache is None:
-        cache = g._dist = [None] * g.n
-    layers = cache[source]
-    if layers is None:
-        layers = cache[source] = _bfs_layers(g._adj, g.n, source)
-    return layers
-
-
-def _bfs_layers(adj: tuple[int, ...], n: int, source: int) -> tuple[int, ...]:
-    # Direction-optimizing BFS (Beamer, Asanovic and Patterson, SC 2012):
-    # expand the frontier top-down while it is the smaller side, else let
-    # each unseen vertex look for a frontier neighbor. On the dense
-    # graphs the battery sees, the frontier after one step is most of
-    # the graph and the unseen side is a handful of vertices.
-    frontier = 1 << source
-    unseen = ((1 << n) - 1) ^ frontier
-    layers = [frontier]
-    while unseen:
-        nxt = 0
-        if frontier.bit_count() <= unseen.bit_count():
-            while frontier:
-                low = frontier & -frontier
-                nxt |= adj[low.bit_length() - 1]
-                frontier ^= low
-            nxt &= unseen
-        else:
-            rest = unseen
-            while rest:
-                low = rest & -rest
-                if adj[low.bit_length() - 1] & frontier:
-                    nxt |= low
-                rest ^= low
-        if not nxt:
+    """Row ``source`` of each layer matrix up to the first empty one:
+    entry d is the mask of the vertices at distance d from ``source``,
+    and unreachable vertices are in no entry (unchecked; callers
+    validate)."""
+    shift, full = source * g.n, (1 << g.n) - 1
+    rows = []
+    for layer in _distance_layers(g):
+        row = layer >> shift & full
+        if not row:
             break
-        unseen ^= nxt
-        frontier = nxt
-        layers.append(nxt)
-    return tuple(layers)
+        rows.append(row)
+    return tuple(rows)
+
+
+def _distance_layers(g: Graph) -> tuple[int, ...]:
+    """The layer matrices of ``g``, from one all-sources BFS cached on it.
+
+    Entry d is an n*n-bit int whose row s (bits s*n .. s*n+n-1) masks
+    the vertices at distance d from s; the tuple ends before the first
+    level that is empty in every row, so its length is one more than the
+    largest distance inside any component.
+    """
+    if g._dist is None:
+        n, adj = g.n, g._adj
+        everything = (1 << n * n) - 1
+        column = everything // ((1 << n) - 1) if n else 0  # bit 0 of every row
+        seen = ((1 << n * (n + 1)) - 1) // ((2 << n) - 1)  # identity: row s is {s}
+        layers = [seen]
+        frontier = sum(mask << s * n for s, mask in enumerate(adj))  # the adjacency matrix
+        while frontier:
+            seen |= frontier
+            layers.append(frontier)
+            if seen == everything:  # connected: no row has a vertex left to reach
+                break
+            nxt = 0
+            for u, mask in enumerate(adj):
+                # Each row whose frontier holds u gets u's neighbours. The
+                # product is carry-free because mask < 2**n fits in a row.
+                nxt |= (frontier >> u & column) * mask
+            frontier = nxt & ~seen
+        g._dist = tuple(layers)
+    return g._dist
 
 
 def bfs_distances(g: Graph, source: int) -> list[int | float]:
@@ -219,9 +227,23 @@ def eccentricity(g: Graph, v: int) -> int | float:
 def diameter(g: Graph) -> int | float:
     """Largest pairwise distance; inf when disconnected, 0 for n=1."""
     _require_vertices(g, "diameter")
+    return max_component_diameter(g) if is_connected(g) else INFINITY
+
+
+def max_component_diameter(g: Graph) -> int:
+    """Largest distance between two vertices of one component: the
+    largest component diameter, and the diameter of a connected graph."""
+    return len(_distance_layers(g)) - 1
+
+
+def periphery(g: Graph) -> list[int]:
+    """The vertices whose eccentricity is the diameter, in increasing
+    order; empty when the graph is disconnected."""
     if not is_connected(g):
-        return INFINITY
-    return max(len(_layers(g, v)) for v in range(g.n)) - 1
+        return []
+    n, last = g.n, _distance_layers(g)[-1]
+    full = (1 << n) - 1
+    return [v for v in range(n) if last >> v * n & full]
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

@@ -12,9 +12,10 @@ On a genuine solvable-group degree graph, rho1+rho2 and rho3+rho4
 induce complete subgraphs, rho1 has no edge into rho3+rho4, rho4 none
 into rho1+rho2, and rho2/rho3 are mutually linked. ``validate_partition``
 re-checks all five properties with witnesses, since arbitrary inputs
-need not satisfy them. Partitions are read off the graph's cached BFS
-layer masks (rho3 and rho4 are the layers at distance 2 and 3), and
-each property is tested with one adjacency-mask operation per vertex.
+need not satisfy them. Partitions are read off the graph's cached
+distance-layer matrices (rho3 and rho4 are the base's rows at distance
+2 and 3, and the bases are the rows that reach distance 3), and each
+property is tested with one adjacency-mask operation per vertex.
 A theorem check reuses the validity its caller holds, if any.
 
 Theorem checks on graphs that pass the necessary-condition battery but
@@ -212,6 +213,8 @@ def _canonical_partition(
 ) -> tuple[list[int], LewisPartition, PartitionValidity] | None:
     """The eccentricity-3 base vertices, and the partition from the
     smallest of them with its validity; None when the diameter is not 3.
+    The bases are the periphery: on a diameter-3 graph, the vertices
+    whose row of the distance-3 layer is not empty.
 
     Validity does not depend on the base: when one partition validates,
     the eccentricity-3 vertices are exactly rho1 | rho4 (rho2 and rho3
@@ -221,7 +224,7 @@ def _canonical_partition(
     """
     if g.n == 0 or gr.diameter(g) != 3:
         return None
-    bases = [v for v in range(g.n) if gr.eccentricity(g, v) == 3]
+    bases = gr.periphery(g)
     p = lewis_partition(g, bases[0])
     return bases, p, validate_partition(g, p)
 

@@ -34,12 +34,13 @@ def graphs(draw, max_n: int = 8, min_n: int = 1):
 
 
 @st.composite
-def joined_cliques(draw, max_n: int = 30):
+def joined_cliques(draw, max_n: int = 30, drop_edge: bool = True):
     """Cliques A = 0..a-1 and B = a..n-1 with random A-B links, shuffled.
 
     Vertex 0 and vertex n-1 get no link, so 0 has eccentricity 3 and
     the graph has diameter 3 unless the optional dropped clique edge
-    breaks that.
+    breaks that. With ``drop_edge=False`` no edge is dropped, and the
+    draws are the co-bipartite graphs of diameter 3.
     """
     a = draw(st.integers(min_value=2, max_value=max_n - 2))
     b = draw(st.integers(min_value=2, max_value=max_n - a))
@@ -50,11 +51,34 @@ def joined_cliques(draw, max_n: int = 30):
     cliques |= {(u, v) for u in range(a, n) for v in range(u + 1, n)}
     links = {(u, v) for u in range(1, a) for v in range(a, n - 1) if rng.random() < p}
     links.add((rng.randrange(1, a), rng.randrange(a, n - 1)))
-    if draw(st.booleans()):
+    if drop_edge and draw(st.booleans()):
         cliques.discard(rng.choice(sorted(cliques)))
     perm = list(range(n))
     rng.shuffle(perm)
     return Graph(n, [(perm[u], perm[v]) for u, v in cliques | links])
+
+
+@st.composite
+def cliques_at_a_cut_vertex(draw, max_n: int = 62):
+    """Cliques A and B joined only through a vertex c, shuffled.
+
+    c is linked to every vertex of one clique (or of both) and to a
+    random nonempty part of the other, so the graph is connected, c is a
+    cut vertex, and no three vertices are independent. Every connected
+    graph with no independent triple and a cut vertex has this shape.
+    """
+    a = draw(st.integers(min_value=1, max_value=max_n - 2))
+    b = draw(st.integers(min_value=1, max_value=max_n - 1 - a))
+    n = a + b + 1
+    sides = [range(1, a + 1), range(a + 1, n)]  # c is vertex 0
+    rng = draw(st.randoms(use_true_random=False))
+    full = draw(st.sampled_from([(True, True), (True, False), (False, True)]))
+    edges = [(u, v) for side in sides for u in side for v in side if u < v]
+    for side, linked_to_all in zip(sides, full):
+        linked = [v for v in side if linked_to_all or rng.random() < 0.5] or [rng.choice(side)]
+        edges += [(0, v) for v in linked]
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
 
 
 @st.composite

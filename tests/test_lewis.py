@@ -24,6 +24,7 @@ from cdgraph import (
     verify_section_3,
 )
 from cdgraph import lewis
+from cdgraph.checks import check_palfy
 from cdgraph import all_degrees_odd, cut_vertices, decode_graph6, diameter, is_connected, run_battery
 from cdgraph.lewis import (
     DISCREPANCY,
@@ -40,6 +41,7 @@ from cdgraph.lewis import (
     rho23_predicate,
 )
 from conftest import (
+    cliques_at_a_cut_vertex,
     cycle_graph,
     disjoint_union,
     even_linked_cliques,
@@ -242,6 +244,26 @@ class TestPartitionIdentities:
             lambda g: first_valid_partition(g) is not None and all_degrees_odd(g) == all_odd,
             settings=settings(database=None),
         )
+
+
+class TestZeroSurveyColumns:
+    """Pálfy's condition alone keeps the survey's Theorem 3.3 and
+    no-valid-partition columns at zero, at every n (README, "Which
+    survey columns can be nonzero", gives the proofs)."""
+
+    @given(cliques_at_a_cut_vertex())
+    @settings(max_examples=150, deadline=None)
+    def test_connected_palfy_graph_with_a_cut_vertex_has_an_even_degree(self, g):
+        assert check_palfy(g).verdict == PASS
+        assert is_connected(g) and cut_vertices(g)
+        assert not all_degrees_odd(g)
+        assert check_theorem_3_3(g).verdict == VACUOUS_PASS
+
+    @given(joined_cliques(max_n=62, drop_edge=False))
+    @settings(max_examples=150, deadline=None)
+    def test_co_bipartite_diameter3_graph_has_a_valid_partition(self, g):
+        assert check_palfy(g).verdict == PASS and diameter(g) == 3
+        assert first_valid_partition(g) is not None
 
 
 class TestRho23Predicates:

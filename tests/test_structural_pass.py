@@ -1,14 +1,18 @@
 """One structural pass per graph.
 
-BFS layer masks and the block decomposition are cached on each
-``Graph``; only ``bfs_distances`` writes out a per-vertex distance list.
-These tests pin that the caches never change an answer: whatever public
-function touches a graph first, the distances, eccentricities,
-diameter-bound witness and structure agree with the uncached oracles;
-callers may mutate what they get back; equality and hashing
-ignore the caches; once warm, connectivity, components and blocks read
-no adjacency mask; and the mask-based Lewis validation reports exactly
-the flags and witnesses of the pairwise reference in ``oracles``.
+Distances come from one all-sources BFS whose layer matrices (row s of
+layer d masks the vertices at distance d from s) are cached on each
+``Graph``, as is the block decomposition; only ``bfs_distances`` writes
+out a per-vertex distance list. These tests pin that the caches never
+change an answer: whatever public function touches a graph first, the
+distances, eccentricities, diameter, periphery, diameter-bound witness
+and structure agree with the uncached oracles, also at 40 <= n <= 62
+where rows span several machine words and a row spilling into the next
+would show; callers may mutate what they get back; equality and
+hashing ignore the caches; once warm, connectivity, components and
+blocks read no adjacency mask; and the mask-based Lewis validation
+reports exactly the flags and witnesses of the pairwise reference in
+``oracles``.
 """
 
 from math import inf
@@ -40,12 +44,14 @@ from conftest import cycle_graph, disjoint_union, joined_cliques, path_graph
 
 
 @st.composite
-def random_graphs(draw, max_n: int = 30):
+def random_graphs(draw, max_n: int = 30, min_n: int = 1):
     """Random graphs over a spread of densities, so that sparse (long
     distances, many cut vertices) and dense inputs both occur."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     p = draw(st.sampled_from([0.05, 0.1, 0.15, 0.25, 0.4, 0.6, 0.85]))
-    rng = draw(st.randoms(use_true_random=False))
+    # Past 30 vertices, one draw per vertex pair would exceed the data
+    # Hypothesis lets an example consume, so the edges come from a seed.
+    rng = draw(st.randoms(use_true_random=max_n > 30))
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
 
 
@@ -205,27 +211,63 @@ FIRST_TOUCH = {
 }
 
 
+def assert_structure_matches_oracles(g: Graph) -> None:
+    edges = g.edges()
+    cuts = oracles.cut_vertices_by_removal(g.n, edges)
+    components = oracles.components(g.n, edges)
+    connected = len(components) == 1
+    assert connected_components(g) == [frozenset(c) for c in components]
+    assert is_connected(g) == connected
+    assert diameter(g) == oracles.diameter_by_bfs(g.n, edges)
+    assert set(cut_vertices(g)) == cuts
+    assert is_block(g) == (connected and not cuts)
+    far_pair = None
+    eccentricities = []
+    for v in range(g.n):
+        dist = oracles.distances(g.n, edges, v)
+        assert gr.bfs_distances(g, v) == dist
+        assert gr.eccentricity(g, v) == max(dist)
+        eccentricities.append(max(d for d in dist if d < inf))
+        if far_pair is None:
+            far_pair = next(([v, u, d] for u, d in enumerate(dist) if u > v and 3 < d < inf), None)
+    assert check_diameter_bound(g).witness == far_pair
+    assert gr.max_component_diameter(g) == max(eccentricities)
+    peripheral = [v for v, e in enumerate(eccentricities) if connected and e == max(eccentricities)]
+    assert gr.periphery(g) == peripheral
+
+
 @pytest.mark.parametrize("first", sorted(FIRST_TOUCH))
 @given(g=random_graphs(max_n=12))
 @settings(max_examples=25, deadline=None)
 def test_structure_agrees_with_oracles_whatever_touches_first(first, g):
     FIRST_TOUCH[first](g)
-    edges = g.edges()
-    cuts = oracles.cut_vertices_by_removal(g.n, edges)
-    components = oracles.components(g.n, edges)
-    assert connected_components(g) == [frozenset(c) for c in components]
-    assert is_connected(g) == (len(components) == 1)
-    assert diameter(g) == oracles.diameter_by_bfs(g.n, edges)
-    assert set(cut_vertices(g)) == cuts
-    assert is_block(g) == (len(components) == 1 and not cuts)
-    far_pair = None
-    for v in range(g.n):
-        dist = oracles.distances(g.n, edges, v)
-        assert gr.bfs_distances(g, v) == dist
-        assert gr.eccentricity(g, v) == max(dist)
-        if far_pair is None:
-            far_pair = next(([v, u, d] for u, d in enumerate(dist) if u > v and 3 < d < inf), None)
-    assert check_diameter_bound(g).witness == far_pair
+    assert_structure_matches_oracles(g)
+
+
+@given(g=random_graphs(min_n=40, max_n=62), first=st.sampled_from(sorted(FIRST_TOUCH)))
+@settings(max_examples=40, deadline=None)
+def test_structure_agrees_with_oracles_up_to_62_vertices(g, first):
+    FIRST_TOUCH[first](g)
+    assert_structure_matches_oracles(g)
+
+
+@pytest.mark.parametrize(
+    "g, diameter_, largest",
+    [
+        (path_graph(62), 61, 61),
+        (cycle_graph(61), 30, 30),
+        (disjoint_union(path_graph(31), path_graph(31)), inf, 30),
+        (Graph(1), 0, 0),
+        (complete_graph(2), 1, 1),
+        (Graph(2), inf, 0),
+    ],
+    ids=["P62", "C61", "P31+P31", "K1", "K2", "2K1"],
+)
+def test_structure_on_extreme_shapes(g, diameter_, largest):
+    # P62 has 62 distance layers, the most a graph6 input can have.
+    assert diameter(g) == diameter_
+    assert gr.max_component_diameter(g) == largest
+    assert_structure_matches_oracles(g)
 
 
 class CountingMasks(tuple):
