@@ -27,14 +27,7 @@ from .enumeration import (
     enumerate_nonisomorphic,
     verify_section_3,
 )
-from .formats import (
-    GRAPH6_MAX_N,
-    _text_lines,
-    decode_edgelist,
-    decode_graph6,
-    encode_edgelist,
-    encode_graph6,
-)
+from .formats import GRAPH6_MAX_N, decode_graph_text, encode_edgelist, encode_graph6
 from .graph import Graph
 
 # Input files and stdin are read up to this many characters, far above the
@@ -76,7 +69,7 @@ def _read_graph(args: argparse.Namespace) -> Graph:
             raise ValueError("give either an input path or --g6, not both")
         if args.format == "edgelist":
             raise ValueError("--g6 takes a graph6 string; --format edgelist reads an input path")
-        return _decode_one_graph6(args.g6)
+        return decode_graph_text(args.g6, "graph6")
     if args.input is None or args.input == "-":
         text = sys.stdin.read(_MAX_INPUT_CHARS + 1)
     else:
@@ -85,22 +78,7 @@ def _read_graph(args: argparse.Namespace) -> Graph:
             text = handle.read(_MAX_INPUT_CHARS + 1)
     if len(text) > _MAX_INPUT_CHARS:
         raise ValueError(f"input is longer than {_MAX_INPUT_CHARS} characters")
-    fmt = args.format
-    if fmt == "auto":
-        first = next((line for line in _text_lines(text) if line), "")
-        fmt = "edgelist" if first.lstrip("-").isdigit() else "g6"
-    if fmt == "edgelist":
-        return decode_edgelist(text)
-    return _decode_one_graph6(text)
-
-
-def _decode_one_graph6(text: str) -> Graph:
-    graphs = [line for line in _text_lines(text) if line]
-    if not graphs:
-        raise ValueError("empty input")
-    if len(graphs) > 1:
-        raise ValueError(f"graph6 input holds {len(graphs)} graphs; give one graph per input")
-    return decode_graph6(graphs[0])
+    return decode_graph_text(text, args.format)
 
 
 def _emit_graph(g: Graph, emit: str) -> None:
@@ -150,7 +128,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     elif args.kind == "figure2":
         g = figure2_graph()
     else:
-        a, b = _decode_one_graph6(args.a), _decode_one_graph6(args.b)
+        a, b = decode_graph_text(args.a, "graph6"), decode_graph_text(args.b, "graph6")
         _require_graph6_size(a.n + b.n)
         g = direct_product(a, b)
     _emit_graph(g, args.emit)

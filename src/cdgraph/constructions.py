@@ -58,13 +58,10 @@ def direct_product(a: Graph, b: Graph) -> Graph:
 def odd_family(n: int) -> Graph:
     """Non-regular all-odd degree graph on n vertices (n even, >= 6).
 
-    Defined inductively: the 6-vertex seed, then repeated joins with a
-    single edge. The result has 4 vertices of degree n-3 and n-4
-    vertices of degree n-1.
+    The 6-vertex seed joined with K_{n-6}, which is the seed after
+    (n-6)/2 successive joins with a single edge. The result has 4
+    vertices of degree n-3 and n-4 vertices of degree n-1.
     """
     if n < 6 or n % 2:
         raise ValueError("the odd-degree family is defined for even n >= 6")
-    g = figure2_graph()
-    while g.n < n:
-        g = direct_product(g, complete_graph(2))
-    return g
+    return figure2_graph() if n == 6 else direct_product(figure2_graph(), complete_graph(n - 6))

@@ -135,6 +135,24 @@ def _text_lines(text: str) -> list[str]:
     return [line.removesuffix("\r").strip(" \t") for line in text.split("\n")]
 
 
+def decode_graph_text(text: str, fmt: str) -> Graph:
+    """The one graph in ``text``, read as ``fmt``: "edgelist", "graph6"
+    (or "g6"), or "auto", which reads an edge list when the first
+    non-blank line is an integer and graph6 otherwise. Graph6 text must
+    hold exactly one non-blank line."""
+    if fmt == "auto":
+        first = next((line for line in _text_lines(text) if line), "")
+        fmt = "edgelist" if first.lstrip("-").isdigit() else "graph6"
+    if fmt == "edgelist":
+        return decode_edgelist(text)
+    lines = [line for line in _text_lines(text) if line]
+    if not lines:
+        raise ValueError("empty input")
+    if len(lines) > 1:
+        raise ValueError(f"graph6 input holds {len(lines)} graphs; give one graph per input")
+    return decode_graph6(lines[0])
+
+
 def decode_edgelist(text: str) -> Graph:
     # Errors name physical lines, so number them before dropping blank ones.
     lines = [(lineno, line) for lineno, line in enumerate(_text_lines(text), start=1) if line]

@@ -257,13 +257,9 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     for v in labels:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")
-    index = {v: i for i, v in enumerate(labels)}
-    masks = [0] * len(labels)
-    for i, v in enumerate(labels):
-        for w in _bits(g._adj[v]):
-            j = index.get(w)
-            if j is not None:
-                masks[i] |= 1 << j
+    index = {v: 1 << i for i, v in enumerate(labels)}  # original label -> new label's bit
+    members = sum(1 << v for v in labels)
+    masks = [sum(index[w] for w in _bits(g._adj[v] & members)) for v in labels]
     return Graph.from_masks(len(labels), masks), labels
 
 

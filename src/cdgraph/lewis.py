@@ -16,7 +16,7 @@ need not satisfy them. Partitions are read off the graph's cached
 distance-layer matrices (rho3 and rho4 are the base's rows at distance
 2 and 3, and the bases are the rows that reach distance 3), and each
 property is tested with one adjacency-mask operation per vertex.
-A theorem check reuses the validity its caller holds, if any.
+Theorems 2.5, 2.7 and 3.2 test their hypotheses in one gate.
 
 Theorem checks on graphs that pass the necessary-condition battery but
 are not genuine degree graphs may legitimately fail; such outcomes are
@@ -298,6 +298,22 @@ def rho23_predicate(g: Graph, p: LewisPartition, mode: str) -> bool:
     return RHO23_PREDICATES[mode](g, p)
 
 
+def _unmet_hypothesis(g: Graph, p: LewisPartition, validity: PartitionValidity | None) -> str | None:
+    """Why the Lewis theorems' hypotheses fail, or None when they hold:
+    ``g`` has diameter 3, ``p``'s four sets partition its vertices, and
+    ``p`` validates. ``validity`` is ``validate_partition(g, p)``,
+    computed here only when the first two hold and it is not given."""
+    if g.n == 0 or gr.diameter(g) != 3:
+        return "the graph's diameter is not 3"
+    if sum(map(len, p[2:])) != g.n or frozenset().union(*p[2:]) != frozenset(range(g.n)):
+        return "the partition's four sets do not partition the vertices"
+    if validity is None:
+        validity = validate_partition(g, p)
+    if not validity.valid:
+        return f"partition is not valid: {dict(validity.witnesses)}"
+    return None
+
+
 def check_theorem_3_2(
     g: Graph,
     p: LewisPartition,
@@ -308,14 +324,13 @@ def check_theorem_3_2(
 
     all-odd  <=>  block, |rho1+rho2| even, |rho3+rho4| even, and the
     rho2/rho3 condition under the chosen ``RHO23_PREDICATES`` entry.
-    Raises when the partition fails validation (the theorem's hypotheses
-    are unmet) or the predicate name is unknown. ``validity`` is
-    ``validate_partition(g, p)``, computed here when not given.
+    Raises when the hypotheses are unmet (see ``_unmet_hypothesis``,
+    which also says how ``validity`` is used) or the predicate name is
+    unknown.
     """
-    if validity is None:
-        validity = validate_partition(g, p)
-    if not validity.valid:
-        raise ValueError(f"partition is not valid: {dict(validity.witnesses)}")
+    unmet = _unmet_hypothesis(g, p, validity)
+    if unmet is not None:
+        raise ValueError(unmet)
     is_all_odd = gr.all_degrees_odd(g)
     is_block = gr.is_block(g)
     rho12_even = len(p.rho1 | p.rho2) % 2 == 0
@@ -359,12 +374,9 @@ def check_theorem_3_3(g: Graph) -> TheoremVerdict:
 
 def check_theorem_2_5(g: Graph, p: LewisPartition, validity: PartitionValidity | None = None) -> TheoremVerdict:
     """Exactly one cut vertex <=> |rho2| = 1, and then the cut vertex is
-    the rho2 member. Not applicable off the diameter-3 valid-partition
-    hypotheses. ``validity`` is ``validate_partition(g, p)``, computed
-    here on a diameter-3 graph when not given."""
-    if validity is None and gr.diameter(g) == 3:
-        validity = validate_partition(g, p)
-    if validity is None or not validity.valid or gr.diameter(g) != 3:
+    the rho2 member. Not applicable when the hypotheses are unmet (see
+    ``_unmet_hypothesis``, which also says how ``validity`` is used)."""
+    if _unmet_hypothesis(g, p, validity) is not None:
         return TheoremVerdict("2.5", NOT_APPLICABLE)
     cuts = sorted(gr.cut_vertices(g))
     rho2 = sorted(p.rho2)
@@ -379,9 +391,7 @@ def check_theorem_2_5(g: Graph, p: LewisPartition, validity: PartitionValidity |
 def check_theorem_2_7(g: Graph, p: LewisPartition, validity: PartitionValidity | None = None) -> TheoremVerdict:
     """Block <=> both |rho2| >= 2 and |rho3| >= 2; hypotheses and
     ``validity`` as for ``check_theorem_2_5``."""
-    if validity is None and gr.diameter(g) == 3:
-        validity = validate_partition(g, p)
-    if validity is None or not validity.valid or gr.diameter(g) != 3:
+    if _unmet_hypothesis(g, p, validity) is not None:
         return TheoremVerdict("2.7", NOT_APPLICABLE)
     block = gr.is_block(g)
     sizes_ok = len(p.rho2) >= 2 and len(p.rho3) >= 2

@@ -287,11 +287,14 @@ class TestBattery:
         assert report.result("regular-rule").verdict == FAIL
 
     def test_empty_graph_rejected(self):
-        with pytest.raises(ValueError):
-            run_battery(Graph(0))
+        for check in (run_battery, check_regular_rule, infer_fitting_height):
+            with pytest.raises(ValueError):
+                check(Graph(0))
 
     def test_fixed_check_order(self):
         report = run_battery(figure2_graph())
+        with pytest.raises(KeyError):
+            report.result("no-such-check")
         assert [r.check for r in report.results] == [
             "palfy",
             "component-bound",

@@ -97,6 +97,22 @@ class TestCheck:
         assert code == 2 and out == ""
         assert err == "error: line 2: non-integer endpoint in '\u0663 1'\n"
 
+    def test_endpoint_past_the_int_digit_limit_exits_2(self, capsys, monkeypatch):
+        # int() refuses decimal strings longer than 4,300 digits.
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("4\n" + "1" * 5000 + " 0\n"))
+        code, out, err = run_cli(capsys, "check", "-")
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 2: non-integer endpoint in '1111")
+
+    def test_empty_stdin_exits_2(self, capsys, monkeypatch):
+        # `printf '' | cdgraph check -`
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        assert run_cli(capsys, "check", "-") == (2, "", "error: empty input\n")
+
     def test_underscore_header_with_edgelist_format_exits_2(self, capsys, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("1_0\n0 1\n")
@@ -219,6 +235,25 @@ class TestLewis:
         g6 = encode_graph6(figure2_graph()).decode("ascii")
         code, out, _ = run_cli(capsys, "lewis", "--g6", g6)
         assert code == 0 and "not applicable" in out
+
+    def test_invalid_partition_text_names_violations(self, capsys):
+        # C6 from r = 0: neither 1-5 nor 2-4 is an edge, so both cliques
+        # fail and the theorems needing a valid partition are left out.
+        code, out, _ = run_cli(capsys, "lewis", "--g6", "EhEG")
+        assert code == 0
+        assert out == (
+            "lewis partition (r=0, s=3):\n"
+            "  rho1: [0]\n"
+            "  rho2: [1, 5]\n"
+            "  rho3: [2, 4]\n"
+            "  rho4: [3]\n"
+            "  valid: False\n"
+            "    violated rho12_complete: witness [1, 5]\n"
+            "    violated rho34_complete: witness [2, 4]\n"
+            "  theorem 2.5: not-applicable\n"
+            "  theorem 2.7: not-applicable\n"
+            "  theorem 3.3: vacuous-pass\n"
+        )
 
 
 class TestConstructAndFamily:

@@ -38,6 +38,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph(2, [(-1, 0)])
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(ValueError):
+            Graph(-1)
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
             Graph(4, [(2, 2)])
@@ -54,6 +58,15 @@ class TestConstruction:
     def test_adjacency_is_symmetric(self):
         g = path_graph(4)
         assert g.has_edge(2, 1) and g.has_edge(1, 2)
+
+    def test_out_of_range_queries_rejected(self):
+        g = path_graph(4)
+        for query in (lambda: g.neighbors(4), lambda: g.neighbors(-1), lambda: g.has_edge(0, 4)):
+            with pytest.raises(ValueError):
+                query()
+
+    def test_never_equal_to_a_non_graph(self):
+        assert Graph(1) != 1 and not Graph(1) == 1
 
 
 class TestDegrees:

@@ -182,7 +182,7 @@ class TestTheorem32:
         entries = enumerate_lewis_partitions(cycle_graph(6))
         _, p, validity = entries[0]
         assert not validity.valid
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^partition is not valid: \{'rho12_complete': \[1, 5\]"):
             check_theorem_3_2(cycle_graph(6), p)
 
     def test_verdict_names_predicate(self):
@@ -355,14 +355,6 @@ class TestTheorem25:
     def test_not_applicable_off_hypotheses(self):
         fake = LewisPartition(0, 3, frozenset({0}), frozenset({1}), frozenset({2}), frozenset({3}))
         assert check_theorem_2_5(cycle_graph(4), fake).verdict == NOT_APPLICABLE
-        # This partition validates, but the graph is disconnected.
-        edgeless = Graph(2, [])
-        split = LewisPartition(0, 1, frozenset({0}), frozenset(), frozenset(), frozenset({1}))
-        validity = validate_partition(edgeless, split)
-        assert validity.valid
-        for check in (check_theorem_2_5, check_theorem_2_7):
-            assert check(edgeless, split).verdict == NOT_APPLICABLE
-            assert check(edgeless, split, validity).verdict == NOT_APPLICABLE
 
     def test_verdict_depends_on_the_base_vertex(self):
         # FwCZw is admissible with diameter 3 and one cut vertex, 6. From
@@ -407,6 +399,55 @@ class TestTheorem27:
                 assert check_theorem_2_7(g, found[0]).verdict == PASS
 
 
+# Partitions that validate but fall outside the theorems' hypotheses,
+# with the reason the gate gives: one leaves out the 4-path's middle
+# vertices, the other splits a disconnected graph.
+OFF_HYPOTHESES = {
+    "p4-without-middle": (
+        path_graph(4),
+        LewisPartition(0, 3, frozenset({0}), frozenset(), frozenset(), frozenset({3})),
+        "the partition's four sets do not partition the vertices",
+    ),
+    "2k1": (
+        Graph(2, []),
+        LewisPartition(0, 1, frozenset({0}), frozenset(), frozenset(), frozenset({1})),
+        "the graph's diameter is not 3",
+    ),
+}
+
+
+class TestHypothesisGate:
+    @pytest.mark.parametrize("case", OFF_HYPOTHESES)
+    def test_valid_partition_off_the_hypotheses(self, case):
+        g, p, reason = OFF_HYPOTHESES[case]
+        validity = validate_partition(g, p)
+        assert validity.valid
+        for given in (None, validity):
+            assert check_theorem_2_5(g, p, given).verdict == NOT_APPLICABLE
+            assert check_theorem_2_7(g, p, given).verdict == NOT_APPLICABLE
+            for mode in RHO23_PREDICATES:
+                with pytest.raises(ValueError) as exc:
+                    check_theorem_3_2(g, p, mode, given)
+                assert str(exc.value) == reason
+
+    def test_parity_readings_agree_on_gated_partitions(self):
+        # On a partition that passes the gate, rho2 and rho3 are nonempty
+        # cliques and each member has a neighbour on the other side, so
+        # rho2 | rho3 induces a connected graph and "standard" reduces to
+        # "even-only" (the README proves it under "Lewis partition").
+        readings = []
+        for n in range(1, 8):
+            for g in enumerate_nonisomorphic(n):
+                for _, p, validity in enumerate_lewis_partitions(g):
+                    if validity.valid:
+                        assert is_connected(lewis.rho23_subgraph(g, p))
+                        readings.append(
+                            (rho23_predicate(g, p, EULERIAN_STANDARD), rho23_predicate(g, p, EULERIAN_EVEN_ONLY))
+                        )
+        assert {standard for standard, _ in readings} == {True, False}
+        assert all(standard == even for standard, even in readings)
+
+
 class TestParityTheorems:
     def test_complete_graph_parity(self):
         for n in range(2, 21):
@@ -416,6 +457,11 @@ class TestParityTheorems:
         assert check_regular_odd(cycle_graph(4)).verdict == PASS
         assert check_regular_odd(complete_graph(6)).verdict == NOT_APPLICABLE
         assert check_regular_odd(figure2_graph()).verdict == NOT_APPLICABLE
+        # K3,3 is 3-regular, so all-odd, but not admissible (not (n-2)-regular).
+        k33 = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+        verdict = check_regular_odd(k33)
+        assert verdict.verdict == DISCREPANCY
+        assert dict(verdict.details)["degree_multiset"] == [3] * 6
 
 
 # sha256 over ``json.dumps(partition_report(g, mode))`` for every
