@@ -14,7 +14,7 @@ from typing import Any, NamedTuple
 
 from . import graph as gr
 from .formats import GRAPH6_MAX_N, encode_graph6
-from .graph import Graph, _bits
+from .graph import Graph
 
 PASS = "pass"
 FAIL = "fail"
@@ -111,24 +111,46 @@ def check_palfy(g: Graph) -> CheckResult:
     """Every 3-subset of vertices spans at least one edge.
 
     Equivalent to independence number <= 2; a failing witness is an
-    independent triple. Graphs with fewer than 3 vertices pass.
+    independent triple, the least one. Graphs with fewer than 3 vertices
+    pass.
+
+    A triple u < v < w is independent when v and w are non-neighbours of
+    u above u, and w one of v. Row u of an n*n-bit matrix holds u's
+    later non-neighbours, and each v in turn is tested as the middle
+    vertex of every triple at once: the rows u < v that hold v get v's
+    row by one carry-free multiply (as in ``graph._distance_layers``)
+    and must miss their own row. Only a graph with a triple is then
+    scanned, u by u, for the least one.
     """
     n = g.n
     adj = g.adjacency_masks
     full = (1 << n) - 1
+    column = ((1 << n * n) - 1) // full if n else 0  # bit 0 of every row
+    rows = 0
+    for v, mask in enumerate(adj):
+        later = full & ~mask & -(2 << v)  # non-neighbours w > v
+        if (rows >> v & column) * later & rows:
+            break
+        rows |= later << v * n
+    else:
+        return _result("palfy", PASS)
     for u in range(n):
-        later = full & ~adj[u] & -(2 << u)  # non-neighbours v > u
-        for v in _bits(later):
-            # canonical witness: the least w > v off both neighbourhoods
-            others = later & ~adj[v] & -(2 << v)
+        later = full & ~adj[u] & -(2 << u)
+        rest = later
+        while rest & (rest - 1):  # a triple needs some w > v after v
+            low = rest & -rest
+            v = low.bit_length() - 1
+            others = later & ~adj[v] & -(low << 1)  # the least w > v off both neighbourhoods
             if others:
-                w = (others & -others).bit_length() - 1
-                return _result("palfy", FAIL, [u, v, w])
-    return _result("palfy", PASS)
+                return _result("palfy", FAIL, [u, v, (others & -others).bit_length() - 1])
+            rest ^= low
+    raise AssertionError("the matrix test found an independent triple that the scan missed")
 
 
 def check_component_bound(g: Graph) -> CheckResult:
     """At most two connected components; witness lists one vertex per component."""
+    if gr.is_connected(g):
+        return _result("component-bound", PASS)
     comps = gr.connected_components(g)
     if len(comps) <= 2:
         return _result("component-bound", PASS)
@@ -200,15 +222,20 @@ def infer_fitting_height(g: Graph) -> Inference | None:
         raise ValueError("Fitting-height inference is undefined for the empty graph")
     n = g.n
     adj = g.adjacency_masks
-    small = [v for v in range(n) if adj[v].bit_count() < n - 2]
-    for i, u in enumerate(small):
-        for v in small[i + 1 :]:
-            if not adj[u] >> v & 1:
-                return Inference(
-                    "any solvable group with this degree graph has Fitting height >= 3",
-                    (u, v),
-                    CITATIONS["fitting-height"],
-                )
+    # Bit v is set when vertex v has degree below n - 2: a binary
+    # numeral, highest vertex first, is the cheapest way to build it.
+    small = int("".join(["1" if mask.bit_count() < n - 2 else "0" for mask in reversed(adj)]), 2)
+    rest = small
+    while rest & (rest - 1):  # the first pair: the least u, then its least v
+        low = rest & -rest
+        far = small & ~adj[low.bit_length() - 1] & -(low << 1)
+        if far:
+            return Inference(
+                "any solvable group with this degree graph has Fitting height >= 3",
+                (low.bit_length() - 1, (far & -far).bit_length() - 1),
+                CITATIONS["fitting-height"],
+            )
+        rest ^= low
     return None
 
 

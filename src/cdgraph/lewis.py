@@ -16,7 +16,14 @@ need not satisfy them. Partitions are read off the graph's cached
 distance-layer matrices (rho3 and rho4 are the base's rows at distance
 2 and 3, and the bases are the rows that reach distance 3), and each
 property is tested with one adjacency-mask operation per vertex.
-Theorems 2.5, 2.7 and 3.2 test their hypotheses in one gate.
+
+Theorems 2.5, 2.7 and 3.2 test their hypotheses in one gate and then
+call one private verdict function each, which ``partition_report``
+calls too. A report runs no gate of its own: its partition covers a
+diameter-3 graph by construction, so its one validity decides. The
+rho2/rho3 predicates read adjacency masks (degrees inside rho2 | rho3,
+a breadth-first search kept inside it, or cross degrees); only the
+cycle reading builds the rho2 | rho3 subgraph.
 
 Theorem checks on graphs that pass the necessary-condition battery but
 are not genuine degree graphs may legitimately fail; such outcomes are
@@ -267,6 +274,31 @@ def rho23_subgraph(g: Graph, p: LewisPartition) -> Graph:
     return sub
 
 
+def _rho23_parity(g: Graph, p: LewisPartition, connected: bool) -> bool:
+    """``all_degrees_even`` of ``rho23_subgraph``, or ``is_eulerian`` when
+    ``connected``, read off the adjacency masks: every vertex of rho2 |
+    rho3 has an even number of neighbors inside it, and a breadth-first
+    search kept inside rho2 | rho3 reaches all of it from its least
+    vertex. Raises, as those readings do, on a vertex outside the graph
+    and on an empty rho2 | rho3."""
+    members = _mask(p.rho2 | p.rho3)
+    if members >> g.n:
+        raise ValueError(f"vertex {members.bit_length() - 1} out of range 0..{g.n - 1}")
+    if not members:
+        raise ValueError(f"{'is_eulerian' if connected else 'all_degrees_even'} is undefined for the empty graph")
+    adj = g.adjacency_masks
+    if any((adj[v] & members).bit_count() & 1 for v in _bits(members)):
+        return False
+    reached = frontier = members & -members
+    while connected and frontier:
+        step = 0
+        for v in _bits(frontier):
+            step |= adj[v]
+        frontier = step & members & ~reached
+        reached |= frontier
+    return not connected or reached == members
+
+
 def even_cross_degrees(g: Graph, p: LewisPartition) -> bool:
     """Every rho2 vertex has an even number of rho3 neighbors and vice
     versa (the linking-parity condition)."""
@@ -280,12 +312,14 @@ def even_cross_degrees(g: Graph, p: LewisPartition) -> bool:
 # Every reading of Theorem 3.2's rho2/rho3 condition, by name, in the
 # order reports list them. The last is not an Eulerian reading but the
 # linking parity, the only entry with no discrepancy in the exhaustive
-# survey. Entries look their functions up at call time, so a
-# wrapper installed on a module attribute sees every call.
+# survey. The parity readings and the linking parity read adjacency
+# masks; only the cycle reading builds the rho2 | rho3 subgraph.
+# Entries look their functions up at call time, so a wrapper installed
+# on a module attribute sees every call.
 RHO23_PREDICATES: Mapping[str, Callable[[Graph, LewisPartition], bool]] = MappingProxyType(
     {
-        EULERIAN_STANDARD: lambda g, p: gr.is_eulerian(rho23_subgraph(g, p)),
-        EULERIAN_EVEN_ONLY: lambda g, p: gr.all_degrees_even(rho23_subgraph(g, p)),
+        EULERIAN_STANDARD: lambda g, p: _rho23_parity(g, p, connected=True),
+        EULERIAN_EVEN_ONLY: lambda g, p: _rho23_parity(g, p, connected=False),
         EULERIAN_HAMILTONIAN: lambda g, p: _has_hamiltonian_cycle(rho23_subgraph(g, p)),
         "even-cross-degrees": lambda g, p: even_cross_degrees(g, p),
     }
@@ -314,6 +348,48 @@ def _unmet_hypothesis(g: Graph, p: LewisPartition, validity: PartitionValidity |
     return None
 
 
+# The verdicts on a partition that passes the gate, shared by the public
+# checks (after ``_unmet_hypothesis``) and by ``partition_report`` (whose
+# partition meets the first two hypotheses by construction). The four
+# sets are disjoint there, so a union's size is the sum of the sizes.
+
+
+def _theorem_2_5(g: Graph, p: LewisPartition) -> TheoremVerdict:
+    cuts = sorted(gr.cut_vertices(g))
+    rho2 = sorted(p.rho2)
+    details = (("cut_vertices", cuts), ("rho2", rho2))
+    if (len(cuts) == 1) != (len(rho2) == 1):
+        return TheoremVerdict("2.5", DISCREPANCY, details)
+    if len(rho2) == 1 and cuts != rho2:
+        return TheoremVerdict("2.5", DISCREPANCY, details)
+    return TheoremVerdict("2.5", PASS, details)
+
+
+def _theorem_2_7(g: Graph, p: LewisPartition) -> TheoremVerdict:
+    block = gr.is_block(g)
+    sizes_ok = len(p.rho2) >= 2 and len(p.rho3) >= 2
+    details = (("is_block", block), ("rho2_size", len(p.rho2)), ("rho3_size", len(p.rho3)))
+    return TheoremVerdict("2.7", PASS if block == sizes_ok else DISCREPANCY, details)
+
+
+def _theorem_3_2(g: Graph, p: LewisPartition, eulerian_mode: str) -> OddDegreeVerdict:
+    is_all_odd = gr.all_degrees_odd(g)
+    is_block = gr.is_block(g)
+    rho12_even = (len(p.rho1) + len(p.rho2)) % 2 == 0
+    rho34_even = (len(p.rho3) + len(p.rho4)) % 2 == 0
+    eulerian = rho23_predicate(g, p, eulerian_mode)
+    conditions = is_block and rho12_even and rho34_even and eulerian
+    return OddDegreeVerdict(
+        is_all_odd=is_all_odd,
+        is_block=is_block,
+        rho12_even=rho12_even,
+        rho34_even=rho34_even,
+        rho23_eulerian=eulerian,
+        eulerian_mode=eulerian_mode,
+        characterization_holds=is_all_odd == conditions,
+    )
+
+
 def check_theorem_3_2(
     g: Graph,
     p: LewisPartition,
@@ -331,21 +407,7 @@ def check_theorem_3_2(
     unmet = _unmet_hypothesis(g, p, validity)
     if unmet is not None:
         raise ValueError(unmet)
-    is_all_odd = gr.all_degrees_odd(g)
-    is_block = gr.is_block(g)
-    rho12_even = len(p.rho1 | p.rho2) % 2 == 0
-    rho34_even = len(p.rho3 | p.rho4) % 2 == 0
-    eulerian = rho23_predicate(g, p, eulerian_mode)
-    conditions = is_block and rho12_even and rho34_even and eulerian
-    return OddDegreeVerdict(
-        is_all_odd=is_all_odd,
-        is_block=is_block,
-        rho12_even=rho12_even,
-        rho34_even=rho34_even,
-        rho23_eulerian=eulerian,
-        eulerian_mode=eulerian_mode,
-        characterization_holds=is_all_odd == conditions,
-    )
+    return _theorem_3_2(g, p, eulerian_mode)
 
 
 def check_theorem_3_3(g: Graph) -> TheoremVerdict:
@@ -378,14 +440,7 @@ def check_theorem_2_5(g: Graph, p: LewisPartition, validity: PartitionValidity |
     ``_unmet_hypothesis``, which also says how ``validity`` is used)."""
     if _unmet_hypothesis(g, p, validity) is not None:
         return TheoremVerdict("2.5", NOT_APPLICABLE)
-    cuts = sorted(gr.cut_vertices(g))
-    rho2 = sorted(p.rho2)
-    details = (("cut_vertices", cuts), ("rho2", rho2))
-    if (len(cuts) == 1) != (len(rho2) == 1):
-        return TheoremVerdict("2.5", DISCREPANCY, details)
-    if len(rho2) == 1 and cuts != rho2:
-        return TheoremVerdict("2.5", DISCREPANCY, details)
-    return TheoremVerdict("2.5", PASS, details)
+    return _theorem_2_5(g, p)
 
 
 def check_theorem_2_7(g: Graph, p: LewisPartition, validity: PartitionValidity | None = None) -> TheoremVerdict:
@@ -393,10 +448,7 @@ def check_theorem_2_7(g: Graph, p: LewisPartition, validity: PartitionValidity |
     ``validity`` as for ``check_theorem_2_5``."""
     if _unmet_hypothesis(g, p, validity) is not None:
         return TheoremVerdict("2.7", NOT_APPLICABLE)
-    block = gr.is_block(g)
-    sizes_ok = len(p.rho2) >= 2 and len(p.rho3) >= 2
-    details = (("is_block", block), ("rho2_size", len(p.rho2)), ("rho3_size", len(p.rho3)))
-    return TheoremVerdict("2.7", PASS if block == sizes_ok else DISCREPANCY, details)
+    return _theorem_2_7(g, p)
 
 
 def check_regular_odd(g: Graph) -> TheoremVerdict:
@@ -420,7 +472,10 @@ def partition_report(g: Graph, eulerian_mode: str = EULERIAN_STANDARD) -> dict[s
     One partition is built and validated. Every eccentricity-3 base
     carries its validity, because when one base's partition validates
     all do (``enumerate_lewis_partitions`` is the per-base reference).
-    The theorem verdicts reuse that validity."""
+    The partition is built from a base of a diameter-3 graph, so it
+    meets the first two hypotheses of the theorems' gate, and its
+    validity decides the third: the verdicts run once that holds, and
+    read ``not-applicable`` (2.5 and 2.7; 3.2 is left out) otherwise."""
     found = _canonical_partition(g)
     if found is None:
         return {
@@ -428,19 +483,24 @@ def partition_report(g: Graph, eulerian_mode: str = EULERIAN_STANDARD) -> dict[s
             "reason": "graph is disconnected or its diameter is not 3",
         }
     bases, p, validity = found
+    valid = validity.valid
     report: dict[str, Any] = {
         "applicable": True,
         "partition": p.to_dict(),
         "validity": validity.to_dict(),
-        "base_vertices": [{"r": r, "valid": validity.valid} for r in bases],
+        "base_vertices": [{"r": r, "valid": valid} for r in bases],
     }
-    theorems: dict[str, Any] = {
-        "2.5": check_theorem_2_5(g, p, validity).to_dict(),
-        "2.7": check_theorem_2_7(g, p, validity).to_dict(),
-    }
-    if validity.valid:
-        theorems["3.2"] = check_theorem_3_2(g, p, eulerian_mode, validity).to_dict()
-    report["theorems"] = theorems
+    if valid:
+        report["theorems"] = {
+            "2.5": _theorem_2_5(g, p).to_dict(),
+            "2.7": _theorem_2_7(g, p).to_dict(),
+            "3.2": _theorem_3_2(g, p, eulerian_mode).to_dict(),
+        }
+    else:
+        report["theorems"] = {
+            "2.5": TheoremVerdict("2.5", NOT_APPLICABLE).to_dict(),
+            "2.7": TheoremVerdict("2.7", NOT_APPLICABLE).to_dict(),
+        }
     report["theorem_3_3"] = check_theorem_3_3(g).to_dict()
     return report
 

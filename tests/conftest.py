@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -107,6 +108,78 @@ def even_linked_cliques(draw, max_n: int = 30):
     perm = list(range(n))
     rng.shuffle(perm)
     return Graph(n, [(perm[u], perm[v]) for u, v in cliques | links])
+
+
+def _shuffled(rng: random.Random, n: int, edges) -> Graph:
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _co_bipartite(rng: random.Random, n: int) -> set[tuple[int, int]]:
+    """Cliques 0..a-1 and a..n-1 with random links that spare vertices
+    0 and n-1: a graph of diameter 3 whose partition always validates."""
+    a = rng.randint(2, n - 2)
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if (u < a) == (v < a)}
+    density = rng.choice((0.1, 0.3, 0.6, 0.9))
+    edges |= {(u, v) for u in range(1, a) for v in range(a, n - 1) if rng.random() < density}
+    edges.add((rng.randrange(1, a), rng.randrange(a, n - 1)))
+    return edges
+
+
+def _less_one_edge(rng: random.Random, n: int) -> set[tuple[int, int]]:
+    edges = _co_bipartite(rng, n)
+    edges.discard(rng.choice(sorted(edges)))
+    return edges
+
+
+def _dense_random(rng: random.Random, n: int) -> set[tuple[int, int]]:
+    p = rng.uniform(0.55, 0.9)
+    return {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+
+
+def _cliques(rng: random.Random, n: int) -> set[tuple[int, int]]:
+    """Two or three disjoint cliques; half the time the last vertex
+    leaves its clique and joins all of the first and part of the rest."""
+    a = rng.randint(1, n - 2)
+    b = rng.randint(1, n - 1 - a)
+    part = [0] * a + [1] * b + [2] * (n - a - b)
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if part[u] == part[v]}
+    if rng.random() < 0.5:  # vertex n-1 becomes the cut vertex
+        edges = {(u, v) for u, v in edges if v != n - 1}
+        edges |= {(u, n - 1) for u in range(a)}
+        edges |= {(u, n - 1) for u in range(a, n - 1) if rng.random() < 0.5} or {(a, n - 1)}
+    return edges
+
+
+def _even_linked(rng: random.Random, n: int) -> set[tuple[int, int]]:
+    """Cliques of even sizes linked by the symmetric difference of K2,2
+    pieces, so every degree is odd (as in ``even_linked_cliques``); at
+    odd n the last vertex joins the first clique."""
+    m = n - n % 2
+    a = 2 * rng.randint(2, m // 2 - 2)
+    edges = {(u, v) for u in range(m) for v in range(u + 1, m) if (u < a) == (v < a)}
+    for _ in range(rng.randint(1, 4)):
+        us, vs = rng.sample(range(1, a), 2), rng.sample(range(a, m - 1), 2)
+        edges ^= {(u, v) for u in us for v in vs}
+    return edges | {(u, m) for u in range(a) if m < n}
+
+
+SEEDED_KINDS = (_co_bipartite, _less_one_edge, _dense_random, _even_linked, _cliques, _less_one_edge)
+
+
+def seeded_graphs(seed: int, count: int, max_n: int = 62) -> list[Graph]:
+    """``count`` graphs from a seeded ``random.Random``, n cycling through
+    10..max_n: co-bipartite diameter-3 graphs (some less one edge, some
+    with every degree odd), dense random graphs and clique unions, each
+    shuffled."""
+    rng = random.Random(f"seeded-graphs/{seed}")
+    out = []
+    for i in range(count):
+        n = 10 + (i * 7) % (max_n - 9)
+        edges = SEEDED_KINDS[i % len(SEEDED_KINDS)](rng, n)
+        out.append(_shuffled(rng, n, edges))
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -231,6 +231,14 @@ def first_independent_triple(n: int, edges) -> tuple[int, int, int] | None:
     )
 
 
+def first_low_degree_non_edge(n: int, edges) -> tuple[int, int] | None:
+    """The lexicographically first non-adjacent pair of vertices whose
+    degrees are both below n - 2, or None."""
+    adj = adjacency(n, edges)
+    low = [v for v in range(n) if len(adj[v]) < n - 2]
+    return next(((u, v) for u, v in combinations(low, 2) if v not in adj[u]), None)
+
+
 def has_independent_triple(n: int, edges) -> bool:
     return first_independent_triple(n, edges) is not None
 

@@ -26,7 +26,7 @@ from cdgraph.checks import (
     check_regular_rule,
     infer_fitting_height,
 )
-from conftest import cycle_graph, disjoint_union, graphs, path_graph
+from conftest import cliques_at_a_cut_vertex, cycle_graph, disjoint_union, graphs, joined_cliques, path_graph
 
 
 class TestPalfy:
@@ -176,6 +176,16 @@ def palfy_graphs(draw, max_n: int = 30):
     return Graph(n, [(perm[u], perm[v]) for u, v in edges])
 
 
+@st.composite
+def density_graphs(draw, max_n: int = 62):
+    """Random graphs up to ``max_n`` vertices, from empty to complete;
+    edges come from a seeded ``Random``, one draw per pair."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    p = draw(st.sampled_from([0.0, 0.3, 0.7, 0.9, 0.97, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
 def drop_edges(g: Graph, rng) -> Graph:
     """``g`` less up to three random edges, so that an independent triple,
     if one appears, can sit anywhere in the vertex order."""
@@ -188,6 +198,23 @@ class TestPalfyWitness:
     @given(st.one_of(graphs(max_n=12), st.builds(drop_edges, palfy_graphs(max_n=12), st.randoms())))
     @settings(max_examples=200, deadline=None)
     def test_witness_is_the_first_independent_triple(self, g):
+        first = oracles.first_independent_triple(g.n, g.edges())
+        result = check_palfy(g)
+        assert result.verdict == (PASS if first is None else FAIL)
+        assert result.witness == (None if first is None else list(first))
+
+    # Two cliques (linked, or meeting at a cut vertex), whole or less a
+    # few edges: independent triples are rare and can sit anywhere in
+    # the vertex order, up to label 61.
+    @given(
+        st.builds(
+            drop_edges,
+            st.one_of(joined_cliques(max_n=62), cliques_at_a_cut_vertex(), palfy_graphs(max_n=62)),
+            st.randoms(use_true_random=False),
+        )
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_witness_on_near_two_clique_graphs_up_to_62_vertices(self, g):
         first = oracles.first_independent_triple(g.n, g.edges())
         result = check_palfy(g)
         assert result.verdict == (PASS if first is None else FAIL)
@@ -266,6 +293,23 @@ class TestFittingInference:
     def test_two_k2(self):
         g = disjoint_union(complete_graph(2), complete_graph(2))
         assert infer_fitting_height(g) is not None
+
+    @given(st.one_of(density_graphs(), palfy_graphs(max_n=62)))
+    @settings(max_examples=80, deadline=None)
+    def test_witness_is_the_first_low_degree_non_edge(self, g):
+        first = oracles.first_low_degree_non_edge(g.n, g.edges())
+        inference = infer_fitting_height(g)
+        assert (None if inference is None else inference.witness) == first
+
+    def test_large_graphs_with_and_without_a_pair(self):
+        # K62 less a perfect matching has every degree n - 2, so no pair;
+        # less the edge 0-2 as well, vertices 0 and 2 drop to n - 3.
+        matching = {(v, v + 1) for v in range(0, 62, 2)}
+        pairs = [(u, v) for u in range(62) for v in range(u + 1, 62)]
+        without = Graph(62, [e for e in pairs if e not in matching])
+        with_pair = Graph(62, [e for e in pairs if e not in matching | {(0, 2)}])
+        assert infer_fitting_height(without) is None
+        assert infer_fitting_height(with_pair).witness == (0, 2)
 
 
 class TestBattery:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -15,6 +16,7 @@ from cdgraph import (
 )
 from cdgraph import cli
 from cdgraph.cli import main
+from conftest import seeded_graphs
 
 
 def run_cli(capsys, *argv):
@@ -441,3 +443,28 @@ class TestPipelines:
         parse_fail, _, _ = run_cli(capsys, "check", "--g6", "not-a-graph")
         ok = main(["check", "--g6", encode_graph6(odd_family(6)).decode("ascii")])
         assert (ok, verdict_fail, parse_fail) == (0, 1, 2)
+
+
+# sha256 over the exit code and stdout of in-process ``cli.main`` for each
+# graph of ``seeded_graphs(1, 212)`` (n = 10..62, four passes), as
+# f"{code}\n{stdout}": the JSON bytes may change only on purpose.
+OUTPUT_SHA256 = {
+    ("check", "standard"): "6eb8ed68325a30af80c1b4d81218621868b772919dbd6c8ddf802eeea04ea16e",
+    ("check", "even-only"): "760e4cd044866ad4eb3e11110f7342f3118c8e1235a44682063f9b0b79a3f38c",
+    ("lewis", "standard"): "90482e31a625c30b62efb69665738b09d0ba23cd14e460b6a0d711d601504ab6",
+    ("lewis", "even-only"): "e6b74daa8b6862bb03a9bdf483bae752062a212ff05f0652d5d0d662b387e2ce",
+}
+
+
+@pytest.fixture(scope="module")
+def seeded_graph6():
+    return [encode_graph6(g).decode("ascii") for g in seeded_graphs(1, 212)]
+
+
+@pytest.mark.parametrize("command, mode", OUTPUT_SHA256)
+def test_json_output_bytes_are_pinned(capsys, seeded_graph6, command, mode):
+    digest = hashlib.sha256()
+    for text in seeded_graph6:
+        code, out, _ = run_cli(capsys, command, "--g6", text, "--output", "json", "--eulerian", mode)
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == OUTPUT_SHA256[command, mode]

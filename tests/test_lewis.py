@@ -40,6 +40,7 @@ from cdgraph.lewis import (
     partition_report,
     rho23_predicate,
 )
+import oracles
 from conftest import (
     cliques_at_a_cut_vertex,
     cycle_graph,
@@ -48,6 +49,7 @@ from conftest import (
     graphs,
     joined_cliques,
     path_graph,
+    seeded_graphs,
 )
 
 
@@ -288,6 +290,18 @@ class TestRho23Predicates:
         assert verdict.eulerian_mode == "even-cross-degrees"
         assert verdict.rho23_eulerian and verdict.characterization_holds
 
+    def test_parity_readings_refuse_what_the_subgraph_refused(self):
+        # Read off masks, the parity readings still raise where building
+        # the rho2 | rho3 subgraph did: no vertex, or one outside g.
+        g = path_graph(4)
+        empty = LewisPartition(0, 3, frozenset({0, 1, 2}), frozenset(), frozenset(), frozenset({3}))
+        outside = LewisPartition(0, 3, frozenset({0}), frozenset({1}), frozenset({9}), frozenset({3}))
+        for mode, reading in ((EULERIAN_STANDARD, "is_eulerian"), (EULERIAN_EVEN_ONLY, "all_degrees_even")):
+            with pytest.raises(ValueError, match=f"^{reading} is undefined for the empty graph$"):
+                rho23_predicate(g, empty, mode)
+            with pytest.raises(ValueError, match=r"^vertex 9 out of range 0\.\.3$"):
+                rho23_predicate(g, outside, mode)
+
     @given(graphs(max_n=8, min_n=2), st.data())
     @settings(max_examples=80, deadline=None)
     def test_linking_parity_counts_cross_edges(self, g, data):
@@ -470,6 +484,8 @@ class TestParityTheorems:
 REPORT_SHA256 = {
     EULERIAN_STANDARD: "cef213670c0ac92e1a4dc8d181f92130f0df231e7cb143a9876d607fe0b3e70a",
     EULERIAN_EVEN_ONLY: "3817d1ceaa7ca80598f6874f5b4d7a3a8a391267583034889c5d276df399a6c0",
+    EULERIAN_HAMILTONIAN: "9ffd8af0cf7e7b0cda1b822d7b53954c1664fe5d8ca57462ca88e6254f135041",
+    "even-cross-degrees": "cbda15df6f3603155e9efd4af748ce839287086c4f519e4acb34e4bb81ce0963",
 }
 
 
@@ -530,6 +546,110 @@ class TestOnePassPerGraph:
         assert counts["validate_partition"] == summary.diameter3_surveyed + len(
             summary.diameter3_no_valid_partition
         )
+
+
+class TestOneGatePerReport:
+    @pytest.mark.parametrize("g", [BALANCED, cycle_graph(6), path_graph(4)], ids=["balanced", "c6", "p4"])
+    def test_report_runs_the_gate_at_most_once(self, monkeypatch, g):
+        # Diameter 3 and the cover hold by construction, so the report
+        # needs at most the validity it already has.
+        counts = count_calls(monkeypatch, "_unmet_hypothesis")
+        for mode in RHO23_PREDICATES:
+            before = counts["_unmet_hypothesis"]
+            assert partition_report(g, mode)["applicable"]
+            assert counts["_unmet_hypothesis"] - before <= 1
+
+
+def reference_report(g, mode):
+    """``partition_report`` rebuilt from the public per-step functions:
+    every base's partition and validity, and each theorem's own check,
+    which gates and validates by itself."""
+    entries = enumerate_lewis_partitions(g)
+    if not entries:
+        return {"applicable": False, "reason": "graph is disconnected or its diameter is not 3"}
+    _, p, validity = entries[0]
+    assert validate_partition(g, p) == validity
+    theorems = {"2.5": check_theorem_2_5(g, p).to_dict(), "2.7": check_theorem_2_7(g, p).to_dict()}
+    if validity.valid:
+        theorems["3.2"] = check_theorem_3_2(g, p, mode).to_dict()
+    return {
+        "applicable": True,
+        "partition": p.to_dict(),
+        "validity": validity.to_dict(),
+        "base_vertices": [{"r": r, "valid": v.valid} for r, _, v in entries],
+        "theorems": theorems,
+        "theorem_3_3": check_theorem_3_3(g).to_dict(),
+    }
+
+
+def rho23_by_oracle(g, partition, mode):
+    """Theorem 3.2's rho2/rho3 condition from the partition's lists and
+    the edge list alone (no cycle reading: that one has no oracle)."""
+    rho2, rho3 = set(partition["rho2"]), set(partition["rho3"])
+    if mode == "even-cross-degrees":
+        adj = oracles.adjacency(g.n, g.edges())
+        return all(len(adj[u] & rho3) % 2 == 0 for u in rho2) and all(len(adj[v] & rho2) % 2 == 0 for v in rho3)
+    label = {v: i for i, v in enumerate(sorted(rho2 | rho3))}
+    edges = [(label[u], label[v]) for u, v in g.edges() if u in label and v in label]
+    adj = oracles.adjacency(len(label), edges)
+    if mode == EULERIAN_EVEN_ONLY:
+        return all(len(adj[v]) % 2 == 0 for v in adj)
+    return oracles.is_eulerian_by_definition(len(label), edges)
+
+
+def assert_report_matches_reference(g, mode):
+    report = partition_report(g, mode)
+    assert json.dumps(report) == json.dumps(reference_report(g, mode))
+    if not report["applicable"] or "3.2" not in report["theorems"]:
+        return
+    # The shared verdict code, checked against the partition's lists.
+    part, theorems = report["partition"], report["theorems"]
+    sizes = {key: len(part[key]) for key in ("rho1", "rho2", "rho3", "rho4")}
+    assert theorems["2.5"]["details"]["rho2"] == part["rho2"]
+    assert theorems["2.7"]["details"]["rho2_size"] == sizes["rho2"]
+    assert theorems["2.7"]["details"]["rho3_size"] == sizes["rho3"]
+    odd_degree = theorems["3.2"]
+    assert odd_degree["rho12_size_even"] == ((sizes["rho1"] + sizes["rho2"]) % 2 == 0)
+    assert odd_degree["rho34_size_even"] == ((sizes["rho3"] + sizes["rho4"]) % 2 == 0)
+    if mode != EULERIAN_HAMILTONIAN:
+        assert odd_degree["rho23_eulerian"] == rho23_by_oracle(g, part, mode)
+
+
+# The seeded corpus: co-bipartite diameter-3 graphs (always valid),
+# copies less one edge, all-odd linked cliques, dense random graphs and
+# clique unions, n = 10..62; the cycle reading only up to n = 12.
+DIFFERENTIAL = [
+    (mode, seed, max_n)
+    for seed in (1, 2)
+    for mode, max_n in (
+        (EULERIAN_STANDARD, 62),
+        (EULERIAN_EVEN_ONLY, 62),
+        ("even-cross-degrees", 62),
+        (EULERIAN_HAMILTONIAN, 12),
+    )
+]
+
+
+class TestReportMatchesPerStepReference:
+    @pytest.mark.parametrize("mode, seed, max_n", DIFFERENTIAL)
+    def test_seeded_graphs(self, mode, seed, max_n):
+        outcomes = set()
+        for g in seeded_graphs(seed, 120, max_n):
+            assert_report_matches_reference(g, mode)
+            found = first_valid_partition(g)
+            outcomes.add("inapplicable" if diameter(g) != 3 else found is not None and all_degrees_odd(g))
+        assert outcomes == {"inapplicable", True, False}
+
+    @given(joined_cliques(max_n=62, drop_edge=False), st.booleans(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_co_bipartite_graphs_and_copies_less_one_edge(self, g, drop, rng):
+        if drop:
+            edges = g.edges()
+            edges.remove(rng.choice(edges))
+            g = Graph(g.n, edges)
+        for mode in RHO23_PREDICATES:
+            if mode != EULERIAN_HAMILTONIAN or g.n <= 12:
+                assert_report_matches_reference(g, mode)
 
 
 class TestValidityArgument:
