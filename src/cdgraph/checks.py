@@ -114,13 +114,14 @@ def check_palfy(g: Graph) -> CheckResult:
     independent triple, the least one. Graphs with fewer than 3 vertices
     pass.
 
-    A triple u < v < w is independent when v and w are non-neighbours of
-    u above u, and w one of v. Row u of an n*n-bit matrix holds u's
-    later non-neighbours, and each v in turn is tested as the middle
-    vertex of every triple at once: the rows u < v that hold v get v's
-    row by one carry-free multiply (as in ``graph._distance_layers``)
-    and must miss their own row. Only a graph with a triple is then
-    scanned, u by u, for the least one.
+    Row u of an n*n-bit matrix holds u's non-neighbours above u, and
+    each v in turn is tested as the middle of every triple u < v < w at
+    once: the rows u < v that hold v get v's row by one carry-free
+    multiply (as in ``graph._distance_layers``), and a bit left at w in
+    row u once masked by row u itself is a triple. The first such v is
+    the least middle of any triple, so the lowest bit left gives the
+    least triple from its row u0; a lesser one starts at some u < u0,
+    and only those u are scanned.
     """
     n = g.n
     adj = g.adjacency_masks
@@ -129,13 +130,16 @@ def check_palfy(g: Graph) -> CheckResult:
     rows = 0
     for v, mask in enumerate(adj):
         later = full & ~mask & -(2 << v)  # non-neighbours w > v
-        if (rows >> v & column) * later & rows:
+        hit = (rows >> v & column) * later & rows
+        if hit:
             break
         rows |= later << v * n
     else:
         return _result("palfy", PASS)
-    for u in range(n):
-        later = full & ~adj[u] & -(2 << u)
+    u0, w0 = divmod((hit & -hit).bit_length() - 1, n)
+    least = [u0, v, w0]
+    for u in range(u0):
+        later = full & ~adj[u] & -(2 << u)  # non-neighbours v > u
         rest = later
         while rest & (rest - 1):  # a triple needs some w > v after v
             low = rest & -rest
@@ -144,7 +148,7 @@ def check_palfy(g: Graph) -> CheckResult:
             if others:
                 return _result("palfy", FAIL, [u, v, (others & -others).bit_length() - 1])
             rest ^= low
-    raise AssertionError("the matrix test found an independent triple that the scan missed")
+    return _result("palfy", FAIL, least)
 
 
 def check_component_bound(g: Graph) -> CheckResult:
@@ -222,20 +226,15 @@ def infer_fitting_height(g: Graph) -> Inference | None:
         raise ValueError("Fitting-height inference is undefined for the empty graph")
     n = g.n
     adj = g.adjacency_masks
-    # Bit v is set when vertex v has degree below n - 2: a binary
-    # numeral, highest vertex first, is the cheapest way to build it.
-    small = int("".join(["1" if mask.bit_count() < n - 2 else "0" for mask in reversed(adj)]), 2)
-    rest = small
-    while rest & (rest - 1):  # the first pair: the least u, then its least v
-        low = rest & -rest
-        far = small & ~adj[low.bit_length() - 1] & -(low << 1)
-        if far:
-            return Inference(
-                "any solvable group with this degree graph has Fitting height >= 3",
-                (low.bit_length() - 1, (far & -far).bit_length() - 1),
-                CITATIONS["fitting-height"],
-            )
-        rest ^= low
+    small = [v for v in range(n) if adj[v].bit_count() < n - 2]
+    for i, u in enumerate(small):
+        for v in small[i + 1 :]:
+            if not adj[u] >> v & 1:
+                return Inference(
+                    "any solvable group with this degree graph has Fitting height >= 3",
+                    (u, v),
+                    CITATIONS["fitting-height"],
+                )
     return None
 
 

@@ -281,11 +281,13 @@ def _rho23_parity(g: Graph, p: LewisPartition, connected: bool) -> bool:
     search kept inside rho2 | rho3 reaches all of it from its least
     vertex. Raises, as those readings do, on a vertex outside the graph
     and on an empty rho2 | rho3."""
-    members = _mask(p.rho2 | p.rho3)
-    if members >> g.n:
-        raise ValueError(f"vertex {members.bit_length() - 1} out of range 0..{g.n - 1}")
-    if not members:
+    vertices = p.rho2 | p.rho3
+    if not vertices:
         raise ValueError(f"{'is_eulerian' if connected else 'all_degrees_even'} is undefined for the empty graph")
+    if min(vertices) < 0 or max(vertices) >= g.n:  # the least one, as ``induced_subgraph`` names it
+        v = next(v for v in sorted(vertices) if not 0 <= v < g.n)
+        raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")
+    members = _mask(vertices)
     adj = g.adjacency_masks
     if any((adj[v] & members).bit_count() & 1 for v in _bits(members)):
         return False

@@ -220,6 +220,24 @@ class TestPalfyWitness:
         assert result.verdict == (PASS if first is None else FAIL)
         assert result.witness == (None if first is None else list(first))
 
+    @pytest.mark.parametrize(
+        "triples, witness",
+        [
+            ([(1, 2, 3)], [1, 2, 3]),  # the least middle's own triple
+            ([(1, 2, 4), (1, 2, 3)], [1, 2, 3]),  # its least w
+            ([(1, 2, 3), (0, 5, 6)], [0, 5, 6]),  # a smaller u with a later middle
+            ([(3, 4, 5), (1, 6, 7), (2, 6, 7)], [1, 6, 7]),
+        ],
+    )
+    def test_witness_when_the_least_middle_is_not_the_least_triple(self, triples, witness):
+        # K8 less the edges of the given triples, which makes them
+        # independent; the least middle vertex of a triple need not
+        # belong to the least triple.
+        missing = {pair for t in triples for pair in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))}
+        g = Graph(8, [(u, v) for u in range(8) for v in range(u + 1, 8) if (u, v) not in missing])
+        assert oracles.first_independent_triple(g.n, g.edges()) == tuple(witness)
+        assert check_palfy(g).witness == witness
+
 
 class TestPalfyImplications:
     """Pálfy (independence number <= 2) implies the component and

@@ -18,6 +18,7 @@ from cdgraph import (
     enumerate_nonisomorphic,
     figure2_graph,
     first_valid_partition,
+    induced_subgraph,
     lewis_partition,
     odd_family,
     validate_partition,
@@ -295,12 +296,22 @@ class TestRho23Predicates:
         # the rho2 | rho3 subgraph did: no vertex, or one outside g.
         g = path_graph(4)
         empty = LewisPartition(0, 3, frozenset({0, 1, 2}), frozenset(), frozenset(), frozenset({3}))
-        outside = LewisPartition(0, 3, frozenset({0}), frozenset({1}), frozenset({9}), frozenset({3}))
+        # The message names the least vertex outside 0..3, as
+        # ``induced_subgraph`` does: 9 alone, 5 before 9, and -1.
+        outside = {
+            "9": (frozenset({1}), frozenset({9})),
+            "5": (frozenset({5}), frozenset({9})),
+            "-1": (frozenset({-1}), frozenset({2})),
+        }
         for mode, reading in ((EULERIAN_STANDARD, "is_eulerian"), (EULERIAN_EVEN_ONLY, "all_degrees_even")):
             with pytest.raises(ValueError, match=f"^{reading} is undefined for the empty graph$"):
                 rho23_predicate(g, empty, mode)
-            with pytest.raises(ValueError, match=r"^vertex 9 out of range 0\.\.3$"):
-                rho23_predicate(g, outside, mode)
+            for vertex, (rho2, rho3) in outside.items():
+                p = LewisPartition(0, 3, frozenset({0}), rho2, rho3, frozenset({3}))
+                with pytest.raises(ValueError, match=rf"^vertex {vertex} out of range 0\.\.3$"):
+                    rho23_predicate(g, p, mode)
+                with pytest.raises(ValueError, match=rf"^vertex {vertex} out of range 0\.\.3$"):
+                    induced_subgraph(g, rho2 | rho3)
 
     @given(graphs(max_n=8, min_n=2), st.data())
     @settings(max_examples=80, deadline=None)
