@@ -17,13 +17,13 @@ distance-layer matrices (rho3 and rho4 are the base's rows at distance
 2 and 3, and the bases are the rows that reach distance 3), and each
 property is tested with one adjacency-mask operation per vertex.
 
-Theorems 2.5, 2.7 and 3.2 test their hypotheses in one gate and then
-call one private verdict function each, which ``partition_report``
-calls too. A report runs no gate of its own: its partition covers a
-diameter-3 graph by construction, so its one validity decides. The
-rho2/rho3 predicates read adjacency masks (degrees inside rho2 | rho3,
-a breadth-first search kept inside it, or cross degrees); only the
-cycle reading builds the rho2 | rho3 subgraph.
+Theorems 2.5, 2.7 and 3.2 each have one private verdict function. A
+caller's partition reaches it through one hypothesis gate, which
+validates it; a partition the package builds (report and survey) skips
+the gate, since it covers a diameter-3 graph by construction and its
+one validity decides. The rho2/rho3 predicates read adjacency masks
+(degrees inside rho2 | rho3, a breadth-first search kept inside it, or
+cross degrees); only the cycle reading builds the rho2 | rho3 subgraph.
 
 Theorem checks on graphs that pass the necessary-condition battery but
 are not genuine degree graphs may legitimately fail; such outcomes are
@@ -33,7 +33,7 @@ verdicts ("discrepancy"), never exceptions.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple
 
 from . import graph as gr
 from .checks import NOT_APPLICABLE, PASS
@@ -144,9 +144,18 @@ def lewis_partition(g: Graph, r: int) -> LewisPartition | None:
     return LewisPartition(r, _low(rho4), *(frozenset(_bits(m)) for m in (rho1, rho2, rho3, rho4)))
 
 
-def _mask(vertices: Iterable[int]) -> int:
-    """Bitmask of distinct vertices (their single bits sum to the union)."""
-    return sum(map((1).__lshift__, vertices))
+def _masks(g: Graph, *sets: frozenset[int]) -> list[int]:
+    """The bitmask of each vertex set (its single bits sum to the union).
+    Raises on a vertex outside 0..n-1, naming the least one, as
+    ``induced_subgraph`` does; a valid set costs one shift test."""
+    try:
+        masks = [sum(map((1).__lshift__, vertices)) for vertices in sets]
+        if not any(mask >> g.n for mask in masks):
+            return masks
+    except ValueError:  # a negative shift count
+        pass
+    v = min(v for vertices in sets for v in vertices if not 0 <= v < g.n)
+    raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")
 
 
 def _low(mask: int) -> int:
@@ -161,7 +170,7 @@ def validate_partition(g: Graph, p: LewisPartition) -> PartitionValidity:
     the witness is the first offending pair (or vertex).
     """
     adj = g.adjacency_masks
-    rho1, rho2, rho3, rho4 = _mask(p.rho1), _mask(p.rho2), _mask(p.rho3), _mask(p.rho4)
+    rho1, rho2, rho3, rho4 = _masks(g, p.rho1, p.rho2, p.rho3, p.rho4)
     witnesses: list[tuple[str, Any]] = []
 
     def complete_within(vertices: frozenset[int], members: int, flag: str) -> bool:
@@ -281,13 +290,9 @@ def _rho23_parity(g: Graph, p: LewisPartition, connected: bool) -> bool:
     search kept inside rho2 | rho3 reaches all of it from its least
     vertex. Raises, as those readings do, on a vertex outside the graph
     and on an empty rho2 | rho3."""
-    vertices = p.rho2 | p.rho3
-    if not vertices:
+    (members,) = _masks(g, p.rho2 | p.rho3)
+    if not members:
         raise ValueError(f"{'is_eulerian' if connected else 'all_degrees_even'} is undefined for the empty graph")
-    if min(vertices) < 0 or max(vertices) >= g.n:  # the least one, as ``induced_subgraph`` names it
-        v = next(v for v in sorted(vertices) if not 0 <= v < g.n)
-        raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")
-    members = _mask(vertices)
     adj = g.adjacency_masks
     if any((adj[v] & members).bit_count() & 1 for v in _bits(members)):
         return False
@@ -304,8 +309,8 @@ def _rho23_parity(g: Graph, p: LewisPartition, connected: bool) -> bool:
 def even_cross_degrees(g: Graph, p: LewisPartition) -> bool:
     """Every rho2 vertex has an even number of rho3 neighbors and vice
     versa (the linking-parity condition)."""
+    rho2, rho3 = _masks(g, p.rho2, p.rho3)
     adj = g.adjacency_masks
-    rho2, rho3 = _mask(p.rho2), _mask(p.rho3)
     return all((adj[u] & rho3).bit_count() % 2 == 0 for u in p.rho2) and all(
         (adj[v] & rho2).bit_count() % 2 == 0 for v in p.rho3
     )
@@ -314,10 +319,8 @@ def even_cross_degrees(g: Graph, p: LewisPartition) -> bool:
 # Every reading of Theorem 3.2's rho2/rho3 condition, by name, in the
 # order reports list them. The last is not an Eulerian reading but the
 # linking parity, the only entry with no discrepancy in the exhaustive
-# survey. The parity readings and the linking parity read adjacency
-# masks; only the cycle reading builds the rho2 | rho3 subgraph.
-# Entries look their functions up at call time, so a wrapper installed
-# on a module attribute sees every call.
+# survey. Entries look their functions up at call time, so a wrapper
+# installed on a module attribute sees every call.
 RHO23_PREDICATES: Mapping[str, Callable[[Graph, LewisPartition], bool]] = MappingProxyType(
     {
         EULERIAN_STANDARD: lambda g, p: _rho23_parity(g, p, connected=True),
@@ -328,32 +331,33 @@ RHO23_PREDICATES: Mapping[str, Callable[[Graph, LewisPartition], bool]] = Mappin
 )
 
 
-def rho23_predicate(g: Graph, p: LewisPartition, mode: str) -> bool:
+def _refuse_unknown(mode: str) -> None:
     if mode not in RHO23_PREDICATES:
         raise ValueError(f"unknown rho2/rho3 predicate {mode!r}")
+
+
+def rho23_predicate(g: Graph, p: LewisPartition, mode: str) -> bool:
+    _refuse_unknown(mode)
     return RHO23_PREDICATES[mode](g, p)
 
 
-def _unmet_hypothesis(g: Graph, p: LewisPartition, validity: PartitionValidity | None) -> str | None:
+def _unmet_hypothesis(g: Graph, p: LewisPartition) -> str | None:
     """Why the Lewis theorems' hypotheses fail, or None when they hold:
     ``g`` has diameter 3, ``p``'s four sets partition its vertices, and
-    ``p`` validates. ``validity`` is ``validate_partition(g, p)``,
-    computed here only when the first two hold and it is not given."""
+    ``p`` validates (checked last, so only a cover is validated)."""
     if g.n == 0 or gr.diameter(g) != 3:
         return "the graph's diameter is not 3"
     if sum(map(len, p[2:])) != g.n or frozenset().union(*p[2:]) != frozenset(range(g.n)):
         return "the partition's four sets do not partition the vertices"
-    if validity is None:
-        validity = validate_partition(g, p)
+    validity = validate_partition(g, p)
     if not validity.valid:
         return f"partition is not valid: {dict(validity.witnesses)}"
     return None
 
 
-# The verdicts on a partition that passes the gate, shared by the public
-# checks (after ``_unmet_hypothesis``) and by ``partition_report`` (whose
-# partition meets the first two hypotheses by construction). The four
-# sets are disjoint there, so a union's size is the sum of the sizes.
+# The verdicts on a partition that meets the hypotheses: one that passed
+# ``_unmet_hypothesis``, or a valid one the package built. The four sets
+# are disjoint, so a union's size is the sum of the sizes.
 
 
 def _theorem_2_5(g: Graph, p: LewisPartition) -> TheoremVerdict:
@@ -379,7 +383,7 @@ def _theorem_3_2(g: Graph, p: LewisPartition, eulerian_mode: str) -> OddDegreeVe
     is_block = gr.is_block(g)
     rho12_even = (len(p.rho1) + len(p.rho2)) % 2 == 0
     rho34_even = (len(p.rho3) + len(p.rho4)) % 2 == 0
-    eulerian = rho23_predicate(g, p, eulerian_mode)
+    eulerian = RHO23_PREDICATES[eulerian_mode](g, p)
     conditions = is_block and rho12_even and rho34_even and eulerian
     return OddDegreeVerdict(
         is_all_odd=is_all_odd,
@@ -392,21 +396,16 @@ def _theorem_3_2(g: Graph, p: LewisPartition, eulerian_mode: str) -> OddDegreeVe
     )
 
 
-def check_theorem_3_2(
-    g: Graph,
-    p: LewisPartition,
-    eulerian_mode: str = EULERIAN_STANDARD,
-    validity: PartitionValidity | None = None,
-) -> OddDegreeVerdict:
+def check_theorem_3_2(g: Graph, p: LewisPartition, eulerian_mode: str = EULERIAN_STANDARD) -> OddDegreeVerdict:
     """Evaluate the odd-degree characterization on a valid partition.
 
     all-odd  <=>  block, |rho1+rho2| even, |rho3+rho4| even, and the
     rho2/rho3 condition under the chosen ``RHO23_PREDICATES`` entry.
-    Raises when the hypotheses are unmet (see ``_unmet_hypothesis``,
-    which also says how ``validity`` is used) or the predicate name is
-    unknown.
+    Raises on an unknown predicate name, before anything else, then
+    when the hypotheses are unmet (see ``_unmet_hypothesis``).
     """
-    unmet = _unmet_hypothesis(g, p, validity)
+    _refuse_unknown(eulerian_mode)
+    unmet = _unmet_hypothesis(g, p)
     if unmet is not None:
         raise ValueError(unmet)
     return _theorem_3_2(g, p, eulerian_mode)
@@ -436,19 +435,19 @@ def check_theorem_3_3(g: Graph) -> TheoremVerdict:
     )
 
 
-def check_theorem_2_5(g: Graph, p: LewisPartition, validity: PartitionValidity | None = None) -> TheoremVerdict:
+def check_theorem_2_5(g: Graph, p: LewisPartition) -> TheoremVerdict:
     """Exactly one cut vertex <=> |rho2| = 1, and then the cut vertex is
     the rho2 member. Not applicable when the hypotheses are unmet (see
-    ``_unmet_hypothesis``, which also says how ``validity`` is used)."""
-    if _unmet_hypothesis(g, p, validity) is not None:
+    ``_unmet_hypothesis``, which validates ``p``)."""
+    if _unmet_hypothesis(g, p) is not None:
         return TheoremVerdict("2.5", NOT_APPLICABLE)
     return _theorem_2_5(g, p)
 
 
-def check_theorem_2_7(g: Graph, p: LewisPartition, validity: PartitionValidity | None = None) -> TheoremVerdict:
-    """Block <=> both |rho2| >= 2 and |rho3| >= 2; hypotheses and
-    ``validity`` as for ``check_theorem_2_5``."""
-    if _unmet_hypothesis(g, p, validity) is not None:
+def check_theorem_2_7(g: Graph, p: LewisPartition) -> TheoremVerdict:
+    """Block <=> both |rho2| >= 2 and |rho3| >= 2; hypotheses as for
+    ``check_theorem_2_5``."""
+    if _unmet_hypothesis(g, p) is not None:
         return TheoremVerdict("2.7", NOT_APPLICABLE)
     return _theorem_2_7(g, p)
 
@@ -474,10 +473,10 @@ def partition_report(g: Graph, eulerian_mode: str = EULERIAN_STANDARD) -> dict[s
     One partition is built and validated. Every eccentricity-3 base
     carries its validity, because when one base's partition validates
     all do (``enumerate_lewis_partitions`` is the per-base reference).
-    The partition is built from a base of a diameter-3 graph, so it
-    meets the first two hypotheses of the theorems' gate, and its
-    validity decides the third: the verdicts run once that holds, and
-    read ``not-applicable`` (2.5 and 2.7; 3.2 is left out) otherwise."""
+    An unknown predicate name is refused first. The partition is built,
+    so it skips the theorems' gate: the verdicts run when it validates,
+    and 2.5 and 2.7 read ``not-applicable`` (3.2 is left out) otherwise."""
+    _refuse_unknown(eulerian_mode)
     found = _canonical_partition(g)
     if found is None:
         return {

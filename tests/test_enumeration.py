@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -166,6 +167,15 @@ class TestIndependenceRule:
                 assert canonical_form(relabelled) == form
 
 
+# sha256 of ``verify_section_3(n).to_json()`` at n = 9 and 10, where the
+# survey reads the independence-number rule's level: the bytes may
+# change only on purpose.
+BEYOND_SHA256 = {
+    9: "4c5453891fa9906fd206b744a7e5ce4212054590d9903f7199450e755a8eb540",
+    10: "5eb10e10e8af5e6a6141b5cd0231f8de8a5dd7756d70d8edf068acdb93e7b8c2",
+}
+
+
 @pytest.fixture(scope="module")
 def beyond_full_levels():
     """The surveys at n = 9 and 10, built once, in process."""
@@ -225,6 +235,7 @@ class TestVerifySection3:
         assert summary.diameter3_no_valid_partition == ()
         assert all(vals == () for vals in summary.theorem_3_2_discrepancies.values())
         assert any("independent triple at n=9: 1897" in note for note in summary.notes)
+        assert hashlib.sha256(summary.to_json().encode()).hexdigest() == BEYOND_SHA256[9]
 
     def test_n10_survey(self, beyond_full_levels):
         summary = beyond_full_levels[10]
@@ -240,6 +251,7 @@ class TestVerifySection3:
         assert summary.regular_theorem_discrepancies == ()
         assert summary.diameter3_no_valid_partition == ()
         assert any("independent triple at n=10: 12172" in note for note in summary.notes)
+        assert hashlib.sha256(summary.to_json().encode()).hexdigest() == BEYOND_SHA256[10]
 
     def test_summary_json_round_trip(self):
         import json

@@ -24,7 +24,7 @@ from cdgraph import (
     validate_partition,
     verify_section_3,
 )
-from cdgraph import lewis
+from cdgraph import enumeration, lewis
 from cdgraph.checks import check_palfy
 from cdgraph import all_degrees_odd, cut_vertices, decode_graph6, diameter, is_connected, run_battery
 from cdgraph.lewis import (
@@ -194,12 +194,16 @@ class TestTheorem32:
         assert verdict.eulerian_mode == EULERIAN_EVEN_ONLY
 
     def test_unknown_mode_rejected(self):
-        p = lewis_partition(path_graph(4), 0)
-        for name in ("hamiltonian-ish", "even-cross", "Standard", ""):
-            with pytest.raises(ValueError):
-                check_theorem_3_2(path_graph(4), p, name)
-            with pytest.raises(ValueError):
-                rho23_predicate(path_graph(4), p, name)
+        # The name is checked before the gate, so C6's partition, which
+        # does not validate, gets the same refusal as P4's.
+        for name in ("hamiltonian-ish", "even-cross", "Standard", "bogus", ""):
+            message = f"^unknown rho2/rho3 predicate {name!r}$"
+            for g in (path_graph(4), cycle_graph(6)):
+                p = lewis_partition(g, 0)
+                with pytest.raises(ValueError, match=message):
+                    check_theorem_3_2(g, p, name)
+                with pytest.raises(ValueError, match=message):
+                    rho23_predicate(g, p, name)
 
     @given(joined_cliques(max_n=9).filter(lambda g: g.n % 2 == 1))
     @settings(max_examples=60, deadline=None)
@@ -293,7 +297,9 @@ class TestRho23Predicates:
 
     def test_parity_readings_refuse_what_the_subgraph_refused(self):
         # Read off masks, the parity readings still raise where building
-        # the rho2 | rho3 subgraph did: no vertex, or one outside g.
+        # the rho2 | rho3 subgraph did: no vertex, or one outside g. The
+        # linking parity and ``validate_partition`` refuse the same
+        # vertices with the same message.
         g = path_graph(4)
         empty = LewisPartition(0, 3, frozenset({0, 1, 2}), frozenset(), frozenset(), frozenset({3}))
         # The message names the least vertex outside 0..3, as
@@ -312,6 +318,16 @@ class TestRho23Predicates:
                     rho23_predicate(g, p, mode)
                 with pytest.raises(ValueError, match=rf"^vertex {vertex} out of range 0\.\.3$"):
                     induced_subgraph(g, rho2 | rho3)
+        linking_parity = lambda g, p: rho23_predicate(g, p, "even-cross-degrees")
+        for vertex, (rho2, rho3) in outside.items():
+            p = LewisPartition(0, 3, frozenset({0}), rho2, rho3, frozenset({3}))
+            for read in (even_cross_degrees, validate_partition, linking_parity):
+                with pytest.raises(ValueError, match=rf"^vertex {vertex} out of range 0\.\.3$"):
+                    read(g, p)
+        # Across the four sets too: 9 in rho4 alone, -1 before 5.
+        for vertex, sets in (("9", ({0}, {1}, {2}, {9})), ("-1", ({5}, {1}, {2}, {-1}))):
+            with pytest.raises(ValueError, match=rf"^vertex {vertex} out of range 0\.\.3$"):
+                validate_partition(g, LewisPartition(0, 3, *map(frozenset, sets)))
 
     @given(graphs(max_n=8, min_n=2), st.data())
     @settings(max_examples=80, deadline=None)
@@ -445,15 +461,13 @@ class TestHypothesisGate:
     @pytest.mark.parametrize("case", OFF_HYPOTHESES)
     def test_valid_partition_off_the_hypotheses(self, case):
         g, p, reason = OFF_HYPOTHESES[case]
-        validity = validate_partition(g, p)
-        assert validity.valid
-        for given in (None, validity):
-            assert check_theorem_2_5(g, p, given).verdict == NOT_APPLICABLE
-            assert check_theorem_2_7(g, p, given).verdict == NOT_APPLICABLE
-            for mode in RHO23_PREDICATES:
-                with pytest.raises(ValueError) as exc:
-                    check_theorem_3_2(g, p, mode, given)
-                assert str(exc.value) == reason
+        assert validate_partition(g, p).valid
+        assert check_theorem_2_5(g, p).verdict == NOT_APPLICABLE
+        assert check_theorem_2_7(g, p).verdict == NOT_APPLICABLE
+        for mode in RHO23_PREDICATES:
+            with pytest.raises(ValueError) as exc:
+                check_theorem_3_2(g, p, mode)
+            assert str(exc.value) == reason
 
     def test_parity_readings_agree_on_gated_partitions(self):
         # On a partition that passes the gate, rho2 and rho3 are nonempty
@@ -518,6 +532,13 @@ class TestPartitionReport:
             "reason": "graph is disconnected or its diameter is not 3",
         }
 
+    def test_unknown_mode_refused_first(self):
+        # Before any graph work: where the partition validates (P4),
+        # where it does not (C6) and where there is none (K3).
+        for g in (path_graph(4), cycle_graph(6), complete_graph(3)):
+            with pytest.raises(ValueError, match="^unknown rho2/rho3 predicate 'bogus'$"):
+                partition_report(g, "bogus")
+
     def test_report_bytes_are_pinned(self):
         for mode, expected in REPORT_SHA256.items():
             digest = hashlib.sha256()
@@ -551,12 +572,33 @@ class TestOnePassPerGraph:
         assert counts == {"lewis_partition": 1, "validate_partition": 1}
 
     def test_survey_validates_once_per_diameter3_graph(self, monkeypatch):
-        counts = count_calls(monkeypatch, "validate_partition")
+        # The survey's partitions are built and validated once, so they
+        # skip the theorems' gate.
+        counts = count_calls(monkeypatch, "validate_partition", "_unmet_hypothesis")
         summary = verify_section_3(7)
-        assert summary.diameter3_surveyed > 0
-        assert counts["validate_partition"] == summary.diameter3_surveyed + len(
-            summary.diameter3_no_valid_partition
-        )
+        assert summary.diameter3_surveyed == 14
+        assert counts == {
+            "validate_partition": summary.diameter3_surveyed + len(summary.diameter3_no_valid_partition),
+            "_unmet_hypothesis": 0,
+        }
+
+    def test_survey_hands_the_verdicts_valid_partitions_only(self, monkeypatch):
+        # Every admissible graph has a valid partition, so the survey is
+        # fed C6 (no base validates) between P4 and the balanced graph.
+        stream = [path_graph(4), cycle_graph(6), BALANCED]
+        monkeypatch.setattr(enumeration, "enumerate_admissible", lambda n: ((g, run_battery(g)) for g in stream))
+        handed = []
+        verdict = lewis._theorem_3_2
+
+        def checked(g, p, mode):
+            handed.append(validate_partition(g, p).valid)
+            return verdict(g, p, mode)
+
+        monkeypatch.setattr(lewis, "_theorem_3_2", checked)
+        summary = verify_section_3(4)
+        assert summary.diameter3_no_valid_partition == (run_battery(cycle_graph(6)).graph6,)
+        assert summary.diameter3_surveyed == 2
+        assert handed == [True] * 2 * len(RHO23_PREDICATES)
 
 
 class TestOneGatePerReport:
@@ -661,49 +703,3 @@ class TestReportMatchesPerStepReference:
         for mode in RHO23_PREDICATES:
             if mode != EULERIAN_HAMILTONIAN or g.n <= 12:
                 assert_report_matches_reference(g, mode)
-
-
-class TestValidityArgument:
-    """A check handed ``validate_partition(g, p)`` gives the verdict it
-    would compute itself, without validating again."""
-
-    @pytest.fixture(scope="class")
-    def cases(self):
-        return [
-            (g, p, validity)
-            for n in range(1, 8)
-            for g in enumerate_nonisomorphic(n)
-            if diameter(g) == 3
-            for _, p, validity in enumerate_lewis_partitions(g)
-        ]
-
-    def test_verdicts_match_and_nothing_is_revalidated(self, monkeypatch, cases):
-        assert any(v.valid for _, _, v in cases) and not all(v.valid for _, _, v in cases)
-        counts = count_calls(monkeypatch, "validate_partition")
-        reused = [
-            (
-                check_theorem_2_5(g, p, validity),
-                check_theorem_2_7(g, p, validity),
-                [check_theorem_3_2(g, p, mode, validity) for mode in RHO23_PREDICATES]
-                if validity.valid
-                else None,
-            )
-            for g, p, validity in cases
-        ]
-        assert counts["validate_partition"] == 0
-        computed = [
-            (
-                check_theorem_2_5(g, p),
-                check_theorem_2_7(g, p),
-                [check_theorem_3_2(g, p, mode) for mode in RHO23_PREDICATES] if validity.valid else None,
-            )
-            for g, p, validity in cases
-        ]
-        assert reused == computed
-
-    def test_invalid_validity_raises(self, cases):
-        invalid = [(g, p, validity) for g, p, validity in cases if not validity.valid]
-        assert invalid
-        for g, p, validity in invalid:
-            with pytest.raises(ValueError):
-                check_theorem_3_2(g, p, EULERIAN_STANDARD, validity)
