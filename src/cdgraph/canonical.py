@@ -18,22 +18,26 @@ relabeling, computed in two stages:
    vertex orders that list the color classes in canonical order and
    permute freely inside each class.
 
-When every cell of the coloring is a set of twins (vertices whose
-neighborhoods agree apart from each other), stage 2 needs no search:
-every permutation inside the cells is an automorphism, so every allowed
-order has the same code, and the classes in color order with their
-members ascending give it. At n <= 8 that holds for 82% of the
+A cell of pairwise twins (vertices whose neighborhoods agree apart
+from each other) never needs a search: the transpositions of twins are
+automorphisms that fix every vertex outside the cell, so every order of
+its members gives the same code, and the members ascending give it.
+When every cell is a twin class, stage 2 reads the one code off the
+vertices sorted by color. At n <= 8 that holds for 82% of the
 generator's candidates, discrete colorings included.
 
 Otherwise stage 2 is a depth-first branch-and-bound search. It extends
 an order one position at a time, taking forced steps (one candidate with
 the minimal next row) in a loop, branching only on candidates that tie,
 and abandoning a branch as soon as its next row exceeds the best code's
-row there. Rows are computed against the whole prefix only at a cell's
-first position: a row against a longer prefix is the shorter row with
-one more bit, the adjacency to the vertex just placed, so the cell's
-unused members carry their rows to the next position, in a forced step
-and into each child of a tie. A member whose row exceeded the least
+row there. A twin cell is placed in one step wherever the search meets
+it: its members share one row against the prefix, and each later member
+adds one bit per member placed before it, 1 for true twins and 0 for
+false ones. Elsewhere rows are computed against the whole prefix only at
+a cell's first position: a row against a longer prefix is the shorter
+row with one more bit, the adjacency to the vertex just placed, so the
+cell's unused members carry their rows to the next position, in a forced
+step and into each child of a tie. A member whose row exceeded the least
 still exceeds it one bit later, so the least rows and the ties are those
 of rows computed afresh. Two complete orders with equal codes give an
 automorphism of the graph (McKay and Piperno 2014): it is kept as a
@@ -45,14 +49,16 @@ transpositions of twins, which prune before any automorphism is known.
 Every pruning step maps skipped orders onto explored ones with the same
 code, so the minimum, and every form, is the one an exhaustive search
 over the same orders finds. The search stays exponential on large sparse
-vertex-transitive graphs: one ``canonical_form`` of C16 takes about
-0.13 s (Python 3.11, one core of a 2-vCPU VM). Exactness for the
-package's working range is cross-checked in the test suite against
-brute-force permutation search, a breadth-first frontier search over the
-same orders, and known isomorphism-class counts.
+vertex-transitive graphs, which have no twins: one ``canonical_form`` of
+C16 takes 0.11-0.13 s (Python 3.11, one core of a 2-vCPU VM). Exactness
+for the package's working range is cross-checked in the test suite
+against brute-force permutation search, a breadth-first frontier search
+over the same orders, and known isomorphism-class counts.
 """
 
 from __future__ import annotations
+
+from itertools import groupby
 
 from .formats import GRAPH6_MAX_N, graph6_bytes_from_rows
 from .graph import Graph, degree_multiset
@@ -78,7 +84,8 @@ def refined_colors(n: int, adj: tuple[int, ...]) -> list[int]:
     two members of a cell that agree on a group's other pieces agree on
     its last one too, so the first count where their keys differ is the
     same with or without it. (Dropping the first piece would not.) A
-    two-member cell compares its two keys directly. Refinement stops once
+    two-member cell splits at the first splitter where its members'
+    counts differ, which is where their keys differ. Refinement stops once
     the coloring is discrete or there is no splitter: a regular graph
     keeps its one cell, and a round that splits no cell creates none. A
     vertex's color is the index of its cell.
@@ -99,16 +106,18 @@ def refined_colors(n: int, adj: tuple[int, ...]) -> list[int]:
             low = cell & -cell
             rest = cell ^ low
             if not rest & (rest - 1):
-                # Two members: compare their two keys directly.
+                # Two members: their keys part at the first splitter
+                # where their counts differ.
                 a = adj[low.bit_length() - 1]
                 b = adj[rest.bit_length() - 1]
-                key_a = key_b = 0
                 for s in splitters:
-                    key_a = key_a << width | (a & s).bit_count()
-                    key_b = key_b << width | (b & s).bit_count()
-                if key_a == key_b:
+                    diff = (a & s).bit_count() - (b & s).bit_count()
+                    if diff:
+                        break
+                else:
                     refined.append(cell)
-                elif key_a > key_b:
+                    continue
+                if diff > 0:
                     refined += (low, rest)
                     pieces.append(low)
                 else:
@@ -157,41 +166,70 @@ def _orbits(seeds: int, generators: list[list[int]]) -> int:
     return mask
 
 
+def _twin_fill(adj: tuple[int, ...], members: list[int]) -> int:
+    # The bit each member of a cell of two or more pairwise twins has
+    # towards the others: 1 for true twins, 0 for false twins. -1 for a
+    # singleton, or for a cell with a non-twin pair.
+    if len(members) < 2:
+        return -1
+    v = members[0]
+    av = adj[v]
+    for w in members[1:]:
+        if (av ^ adj[w]) & ~(1 << v | 1 << w):
+            return -1
+    return av >> members[1] & 1
+
+
 def _min_code_rows(n: int, adj: tuple[int, ...]) -> list[int]:
     """Rows 1..n-1 of the least code: row i holds the adjacency of the
     i-th vertex of the order to the vertices before it, first one first.
 
-    If every member of each cell is a twin of the cell's first member,
-    the transpositions of the first member with the others are
-    automorphisms, and they generate every permutation inside the cells.
-    (Twin-ness is then transitive inside the cell as well: a vertex
-    cannot have both a true twin, adjacent to it, and a false twin, not
-    adjacent to it, because the false twin would be adjacent to the
-    true twin and so to the vertex.) Every allowed order then has one
-    code, read off the cells in color order. Otherwise the search runs.
+    A cell of pairwise twins is placed in one step, its members
+    ascending: the transpositions of twins are automorphisms that fix
+    the vertices before the cell and generate every permutation inside
+    it, so every order of the cell gives the same code. Every member has
+    the same row against the prefix, and the k-th member's row is that
+    row with k more bits, all 1 for true twins and all 0 for false ones.
+    (Twin-ness is transitive inside a cell: a vertex cannot have both a
+    true twin, adjacent to it, and a false twin, not adjacent to it,
+    because the false twin would be adjacent to the true twin and so to
+    the vertex.) If every cell is a twin class, every allowed order has
+    one code, read off the cells in color order without a search.
+    Otherwise the search decides each cell's kind when it first reaches
+    the cell. The rows a twin cell places are compared with the best
+    code's like any others: under the stable coloring they are the same
+    in every branch, but the comparison keeps the search exact for any
+    coloring.
     """
     color = refined_colors(n, adj)
-    classes: list[list[int]] = [[] for _ in range(max(color) + 1)]
-    for v, c in enumerate(color):
-        classes[c].append(v)
-    # Twin classes only: read the one code off the cells.
-    for members in classes:
-        if len(members) > 1:
-            v = members[0]
-            av = adj[v]
-            if any((av ^ adj[w]) & ~(1 << v | 1 << w) for w in members[1:]):
-                break
-    else:
-        order = [v for members in classes for v in members]
-        rows = []
-        for i in range(1, n):
-            av = adj[order[i]]
+    order = sorted(range(n), key=color.__getitem__)
+    # Twin classes only: read the one code off the cells. A member that
+    # follows its twin has the twin's row and one more bit.
+    rows = [0]
+    row = start = 0
+    for i in range(1, n):
+        v = order[i]
+        prev = order[i - 1]
+        av = adj[v]
+        if color[v] != color[prev]:
+            start = i
             row = 0
             for u in order[:i]:
                 row = row << 1 | (av >> u & 1)
-            rows.append(row)
-        return rows
-    position_members = [members for members in classes for _ in members]
+        elif (adj[order[start]] ^ av) & ~(1 << order[start] | 1 << v):
+            break
+        else:
+            row = row << 1 | (av >> prev & 1)
+        rows.append(row)
+    else:
+        return rows[1:]
+    # The cells in color order, at each of their positions, and the fill
+    # of each cell's first position once the search has reached it.
+    position_members: list[list[int]] = []
+    for _, cell in groupby(order, color.__getitem__):
+        members = list(cell)
+        position_members += [members] * len(members)
+    fills: dict[int, int] = {}
 
     best_rows: list[int] = []
     best_order: list[int] = []
@@ -208,7 +246,29 @@ def _min_code_rows(n: int, adj: tuple[int, ...]) -> list[int]:
         pos = len(order)
         while pos < n:
             if not pending:
-                for v in position_members[pos]:
+                members = position_members[pos]
+                fill = fills.get(pos)
+                if fill is None:
+                    fill = fills[pos] = _twin_fill(adj, members)
+                v = members[0]
+                av = adj[v]
+                row = 0
+                for u in order:
+                    row = row << 1 | (av >> u & 1)
+                if fill >= 0:
+                    # A twin cell: place it in one step.
+                    for v in members:
+                        if tight:
+                            if row > best_rows[pos]:
+                                return n
+                            tight = row == best_rows[pos]
+                        order.append(v)
+                        rows.append(row)
+                        row = row << 1 | fill
+                        pos += 1
+                    continue
+                pending.append((row, v))
+                for v in members[1:]:
                     av = adj[v]
                     row = 0
                     for u in order:
@@ -265,7 +325,12 @@ def _min_code_rows(n: int, adj: tuple[int, ...]) -> list[int]:
         seen = 0
         for v in tied:
             if seen < len(generators):
-                fixing += [p for p in generators[seen:] if all(p[u] == u for u in order)]
+                for p in generators[seen:]:
+                    for u in order:
+                        if p[u] != u:
+                            break
+                    else:
+                        fixing.append(p)
                 seen = len(generators)
                 skip = _orbits(skip, fixing)
             if skip >> v & 1:
@@ -292,7 +357,9 @@ def _min_code_rows(n: int, adj: tuple[int, ...]) -> list[int]:
             tight = True
         return n
 
-    search([], [], False, [])
+    # The cells before ``start`` have no ties, so every order starts with
+    # the prefix read above.
+    search(order[:start], rows[:start], False, [])
     # ``search`` refers to itself; deleting it frees the closure at once
     # instead of leaving a cycle to the garbage collector.
     del search

@@ -14,9 +14,16 @@ and encoding it returns them.
 
 from __future__ import annotations
 
+from binascii import b2a_base64
+
 from .graph import Graph
 
 GRAPH6_MAX_N = 62
+
+# Base64 digit k, as ``b2a_base64`` writes it, to the graph6 body byte 63 + k.
+_BASE64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
 
 # The six bits of each body byte 63..126, most significant first.
 _SIX_BITS = {byte: format(byte - 63, "06b") for byte in range(63, 127)}
@@ -34,12 +41,14 @@ class Graph6ParseError(ValueError):
 
 def _pack(n: int, code: int) -> bytes:
     # ``code`` holds the n(n-1)/2 upper-triangle bits in column order,
-    # first bit most significant; pad it to whole 6-bit groups.
+    # first bit most significant. Base64 writes 6-bit groups, most
+    # significant first, as its digits, which ``_BASE64_TO_GRAPH6`` turns
+    # into bytes 63..126; zero padding to whole 3-byte blocks makes
+    # digits past the body, which are cut off.
     nbits = n * (n - 1) // 2
-    pad = -nbits % 6
-    code <<= pad
-    top = nbits + pad - 6
-    return bytes([n + 63, *[(code >> s & 63) + 63 for s in range(top, -1, -6)]])
+    pad = -nbits % 24
+    digits = b2a_base64((code << pad).to_bytes((nbits + pad) // 8, "big"), newline=False)
+    return bytes([n + 63]) + digits[: (nbits + 5) // 6].translate(_BASE64_TO_GRAPH6)
 
 
 def encode_graph6(g: Graph) -> bytes:

@@ -22,6 +22,31 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
     return Graph(a.n + b.n, edges)
 
 
+def twin_cells_after_search() -> dict[str, Graph]:
+    """Graphs whose first cell in color order is no twin class, so the
+    minimal-code search branches on it, and whose later cells hold true
+    twins, false twins, or twins and non-twins mixed. Cells by color:
+    C6, K4 (true twins), the 5-side and then the 4-side of K4,5 (false
+    twins) in ``C6+K4+K45``; C6, K3, five false twins and K4 in
+    ``C6-K4-F5-K3``, where C6 is joined to K4, K4 to the five, and the
+    five to K3; the leaves, C6, and the two centers, which are not
+    twins, in ``S33+C6``; C6, then one cell of two K4s in ``2K4+C6``."""
+    k45 = Graph(9, [(u, v) for u in range(4) for v in range(4, 9)])
+    k4 = Graph(4, list(combinations(range(4), 2)))
+    c6 = cycle_graph(6)
+    linked = c6.edges() + [(a, b) for a, b in combinations(range(6, 10), 2)]
+    linked += [(a, c) for a in range(6, 10) for c in range(6)]
+    linked += [(a, f) for a in range(6, 10) for f in range(10, 15)]
+    linked += [(f, t) for f in range(10, 15) for t in range(15, 18)] + [(15, 16), (15, 17), (16, 17)]
+    double_star = Graph(8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7)])
+    return {
+        "C6+K4+K45": disjoint_union(disjoint_union(c6, k4), k45),
+        "C6-K4-F5-K3": Graph(18, linked),
+        "S33+C6": disjoint_union(double_star, c6),
+        "2K4+C6": disjoint_union(c6, disjoint_union(k4, k4)),
+    }
+
+
 def graph_from_mask(n: int, mask: int) -> Graph:
     pairs = list(combinations(range(n), 2))
     return Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])

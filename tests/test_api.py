@@ -26,7 +26,7 @@ from cdgraph import (
     validate_partition,
     verify_section_3,
 )
-from conftest import path_graph
+from conftest import path_graph, twin_cells_after_search
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -77,6 +77,7 @@ def test_canonical_form_refines_once_per_graph(monkeypatch):
 
     inputs = [Graph(0, []), *(g for n in range(1, 6) for g in enumerate_nonisomorphic(n))]
     inputs += [path_graph(30), complete_graph(9), odd_family(14), figure2_graph()]
+    inputs += twin_cells_after_search().values()
     monkeypatch.setattr(canonical, "refined_colors", counting)
     for g in inputs:
         canonical_form(g)

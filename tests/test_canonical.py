@@ -1,7 +1,8 @@
 import hashlib
 import random
+import sys
 import time
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from cdgraph import (
     Graph,
+    canonical,
     canonical_form,
     complete_graph,
     decode_graph6,
@@ -22,7 +24,14 @@ from cdgraph import (
 from cdgraph.canonical import _min_code_rows, refined_colors
 from cdgraph.enumeration import _all_neighborhoods, _level_forms
 from cdgraph.formats import graph6_bytes_from_rows
-from conftest import cycle_graph, disjoint_union, graph_from_mask, graphs, path_graph
+from conftest import (
+    cycle_graph,
+    disjoint_union,
+    graph_from_mask,
+    graphs,
+    path_graph,
+    twin_cells_after_search,
+)
 
 
 def permuted(g: Graph, perm: list[int]) -> Graph:
@@ -154,7 +163,8 @@ def named_symmetric() -> dict[str, Graph]:
     complete multipartite graphs (false twins); the star and K1,2,3,4
     refine to twin classes only, so they skip the search, while in the
     others a cell holds more than one twin class, or twins and
-    non-twins."""
+    non-twins. The graphs of ``twin_cells_after_search`` put twin cells
+    after a cell the search branches on."""
     named = {f"C{m}": cycle_graph(m) for m in range(10, 14)}
     named.update(
         Petersen=petersen(),
@@ -176,6 +186,7 @@ def named_symmetric() -> dict[str, Graph]:
         K1234=blow_up(complete_graph(4), [1, 2, 3, 4], [False] * 4),
         star=Graph(8, [(0, v) for v in range(1, 8)]),
     )
+    named.update(twin_cells_after_search())
     return named
 
 
@@ -440,3 +451,80 @@ class TestByteIdentity:
             rng.shuffle(perm)
             h = permuted(g, perm)
             assert _min_code_rows(n, h.adjacency_masks) == expected
+
+
+def degree_colors(n: int, adj: tuple[int, ...]) -> list[int]:
+    """Vertex colors by degree rank: invariant under relabeling, but in
+    general not equitable, unlike ``refined_colors``."""
+    degrees = sorted({a.bit_count() for a in adj})
+    return [degrees.index(a.bit_count()) for a in adj]
+
+
+def min_rows_over_cell_orders(n: int, adj: tuple[int, ...], color: list[int]) -> list[int]:
+    """The least code rows over every order that lists the color classes
+    in color order, by trying each one."""
+    classes = [[v for v in range(n) if color[v] == c] for c in range(max(color) + 1)]
+    best: list[int] | None = None
+    for parts in product(*(permutations(members) for members in classes)):
+        order = [v for part in parts for v in part]
+        rows = []
+        for i in range(1, n):
+            row = 0
+            for u in order[:i]:
+                row = row << 1 | (adj[order[i]] >> u & 1)
+            rows.append(row)
+        if best is None or rows < best:
+            best = rows
+    assert best is not None
+    return best
+
+
+def search_frames(g: Graph) -> int:
+    """The number of ``search`` frames one ``canonical_form(g)`` runs."""
+    frames = 0
+
+    def profile(frame, event, arg):
+        nonlocal frames
+        code = frame.f_code
+        if event == "call" and code.co_name == "search" and code.co_filename == canonical.__file__:
+            frames += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        canonical_form(g)
+    finally:
+        sys.setprofile(previous)
+    return frames
+
+
+class TestTwinCells:
+    """A cell of pairwise twins is placed in one step, wherever the
+    search meets it."""
+
+    def test_search_is_exact_for_a_coloring_that_is_not_equitable(self, monkeypatch):
+        # Under the stable coloring every member of a cell sees each
+        # earlier cell whole or not at all, so a twin cell's rows are the
+        # same in every branch. Under the degree coloring they are not:
+        # in the first graph the false twins 0 and 2 see 1 but not 4 of
+        # the first cell {1, 4}. The search must still return the least
+        # code over the orders the coloring allows, so each row a twin
+        # cell places is compared with the best code's.
+        monkeypatch.setattr(canonical, "refined_colors", degree_colors)
+        edges = [(0, 1), (0, 3), (0, 5), (1, 2), (2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]
+        inputs = [Graph(6, edges)]
+        rng = random.Random(5)
+        inputs += [random_graph(rng, rng.randint(4, 7), 0.5) for _ in range(300)]
+        for g in inputs:
+            adj = g.adjacency_masks
+            expected = min_rows_over_cell_orders(g.n, adj, degree_colors(g.n, adj))
+            assert _min_code_rows(g.n, adj) == expected
+
+    def test_odd_family_search_frames_do_not_grow_with_n(self):
+        # After refinement odd_family(n) is the seed's cells, some of
+        # which the search branches on, and one cell of n - 6 true twins,
+        # which it places in one step: the frame count is the same at
+        # every n, where placing the twins one position at a time made a
+        # tie, and a frame, at each of them.
+        frames = {n: search_frames(odd_family(n)) for n in range(10, 63, 2)}
+        assert len(set(frames.values())) == 1, frames

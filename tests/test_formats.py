@@ -1,4 +1,5 @@
 import io
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,6 +18,7 @@ from cdgraph import (
     run_battery,
 )
 from cdgraph.cli import main
+from cdgraph.formats import _pack
 from conftest import graphs, path_graph
 
 
@@ -118,9 +120,26 @@ class TestGraph6Decode:
         assert str(err.value) == f"body byte {bad} outside graph6 range (byte offset {1 + position})"
 
 
+def pack_by_six_bit_groups(n: int, code: int) -> bytes:
+    """graph6 bytes of an n-vertex bit string, one 6-bit group at a time:
+    the bits zero padded to whole groups, each group plus 63."""
+    nbits = n * (n - 1) // 2
+    bits = format(code, f"0{nbits}b") if nbits else ""
+    bits += "0" * (-nbits % 6)
+    return bytes([n + 63, *(int(bits[i : i + 6], 2) + 63 for i in range(0, len(bits), 6))])
+
+
 class TestGraph6Encode:
     def test_k2(self):
         assert encode_graph6(Graph(2, [(0, 1)])) == b"A_"
+
+    @pytest.mark.parametrize("n", range(63))
+    def test_pack_matches_six_bit_groups(self, n):
+        nbits = n * (n - 1) // 2
+        rng = random.Random(n)
+        codes = [0, (1 << nbits) - 1, *(rng.getrandbits(nbits) for _ in range(50))]
+        for code in codes:
+            assert _pack(n, code) == pack_by_six_bit_groups(n, code)
 
     def test_figure2_round_trip_is_byte_exact(self):
         data = encode_graph6(figure2_graph())
