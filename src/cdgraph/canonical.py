@@ -12,8 +12,9 @@ relabeling, computed in two stages:
    every cell were grouped by equal counts in those. A dropped piece
    cannot either: a member's count in it is its count in the parent
    cell less its counts in the sibling pieces. The pieces are ordered
-   by an invariant rule, so the color ids depend only on the isomorphism
-   type, never on the input labeling;
+   by an invariant rule, so the order of the cells (a vertex's color is
+   the index of its cell) depends only on the isomorphism type, never on
+   the input labeling;
 2. the lexicographically smallest upper-triangle bit string over all
    vertex orders that list the color classes in canonical order and
    permute freely inside each class.
@@ -23,8 +24,9 @@ from each other) never needs a search: the transpositions of twins are
 automorphisms that fix every vertex outside the cell, so every order of
 its members gives the same code, and the members ascending give it.
 When every cell is a twin class, stage 2 reads the one code off the
-vertices sorted by color. At n <= 8 that holds for 82% of the
-generator's candidates, discrete colorings included.
+cells in color order, each cell's members ascending. At n <= 8 that
+holds for 82% of the generator's candidates, discrete colorings
+included.
 
 Otherwise stage 2 is a depth-first branch-and-bound search. It extends
 an order one position at a time, taking forced steps (one candidate with
@@ -58,14 +60,14 @@ over the same orders, and known isomorphism-class counts.
 
 from __future__ import annotations
 
-from itertools import groupby
-
 from .formats import GRAPH6_MAX_N, graph6_bytes_from_rows
 from .graph import Graph, degree_multiset
 
 
 def refined_colors(n: int, adj: tuple[int, ...]) -> list[int]:
-    """Stable iterated-degree coloring with relabeling-invariant ids.
+    """Stable iterated-degree coloring, as its cells: vertex masks in a
+    relabeling-invariant order, the ordered partition of McKay and
+    Piperno (2014). A vertex's color is the index of its cell.
 
     The cells start as the degree classes, by increasing degree. Each
     round splits every non-singleton cell by its members' neighbor counts
@@ -87,8 +89,9 @@ def refined_colors(n: int, adj: tuple[int, ...]) -> list[int]:
     two-member cell splits at the first splitter where its members'
     counts differ, which is where their keys differ. Refinement stops once
     the coloring is discrete or there is no splitter: a regular graph
-    keeps its one cell, and a round that splits no cell creates none. A
-    vertex's color is the index of its cell.
+    keeps its one cell, and a round that splits no cell creates none.
+    Splitting in place keeps the degree order between cells, so the last
+    cell holds vertices of maximum degree only.
     """
     by_degree = [0] * n
     for v, a in enumerate(adj):
@@ -142,13 +145,7 @@ def refined_colors(n: int, adj: tuple[int, ...]) -> list[int]:
                 pieces += split[:-1]
         cells = refined
         splitters = pieces
-    color = [0] * n
-    for i, cell in enumerate(cells):
-        while cell:
-            low = cell & -cell
-            cell ^= low
-            color[low.bit_length() - 1] = i
-    return color
+    return cells
 
 
 def _orbits(seeds: int, generators: list[list[int]]) -> int:
@@ -194,40 +191,61 @@ def _min_code_rows(n: int, adj: tuple[int, ...]) -> list[int]:
     true twin, adjacent to it, and a false twin, not adjacent to it,
     because the false twin would be adjacent to the true twin and so to
     the vertex.) If every cell is a twin class, every allowed order has
-    one code, read off the cells in color order without a search.
+    one code, read off the cells in color order without a search: each
+    cell's members ascending, the first member's row read against the
+    prefix, each later member's the row before it with one more bit.
     Otherwise the search decides each cell's kind when it first reaches
     the cell. The rows a twin cell places are compared with the best
     code's like any others: under the stable coloring they are the same
     in every branch, but the comparison keeps the search exact for any
     coloring.
     """
-    color = refined_colors(n, adj)
-    order = sorted(range(n), key=color.__getitem__)
-    # Twin classes only: read the one code off the cells. A member that
-    # follows its twin has the twin's row and one more bit.
-    rows = [0]
-    row = start = 0
-    for i in range(1, n):
-        v = order[i]
-        prev = order[i - 1]
-        av = adj[v]
-        if color[v] != color[prev]:
-            start = i
-            row = 0
-            for u in order[:i]:
-                row = row << 1 | (av >> u & 1)
-        elif (adj[order[start]] ^ av) & ~(1 << order[start] | 1 << v):
-            break
+    cells = refined_colors(n, adj)
+    # Read the code off the cells up to the first one that is not a twin
+    # class. A member that follows its twin has the twin's row and one
+    # more bit.
+    order: list[int] = []
+    rows: list[int] = []
+    for index, cell in enumerate(cells):
+        low = cell & -cell
+        first = low.bit_length() - 1
+        a = adj[first]
+        row = 0
+        for u in order:
+            row = row << 1 | (a >> u & 1)
+        if cell == low:
+            order.append(first)
+            rows.append(row)
+            continue
+        members = [first]
+        rest = cell ^ low
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            if (a ^ adj[v]) & ~(1 << first | low):
+                break
+            members.append(v)
         else:
-            row = row << 1 | (av >> prev & 1)
-        rows.append(row)
+            fill = a >> members[1] & 1
+            for v in members:
+                order.append(v)
+                rows.append(row)
+                row = row << 1 | fill
+            continue
+        break
     else:
         return rows[1:]
-    # The cells in color order, at each of their positions, and the fill
-    # of each cell's first position once the search has reached it.
-    position_members: list[list[int]] = []
-    for _, cell in groupby(order, color.__getitem__):
-        members = list(cell)
+    # The members of each cell the walk did not place, at each of their
+    # positions, and the fill of each cell's first position once the
+    # search has reached it. The search never reads the placed prefix's.
+    position_members: list[list[int]] = [[]] * len(order)
+    for cell in cells[index:]:
+        members = []
+        while cell:
+            low = cell & -cell
+            cell ^= low
+            members.append(low.bit_length() - 1)
         position_members += [members] * len(members)
     fills: dict[int, int] = {}
 
@@ -357,9 +375,9 @@ def _min_code_rows(n: int, adj: tuple[int, ...]) -> list[int]:
             tight = True
         return n
 
-    # The cells before ``start`` have no ties, so every order starts with
+    # The cells the walk placed have no ties, so every order starts with
     # the prefix read above.
-    search(order[:start], rows[:start], False, [])
+    search(order, rows, False, [])
     # ``search`` refers to itself; deleting it frees the closure at once
     # instead of leaving a cycle to the garbage collector.
     del search

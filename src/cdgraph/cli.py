@@ -4,7 +4,8 @@ Subcommands: check (necessary-condition battery, plus diameter-3
 analysis when it applies), lewis (partition report), construct and
 family (graph generators), enumerate (exhaustive streams and summaries).
 
-Exit codes: 0 success, 1 failed check verdict, 2 usage or parse errors.
+Exit codes: 0 success, 1 failed check verdict, 2 usage or parse errors,
+141 when the reader of standard output closes it early.
 Graphs travel as graph6 (default) or as plain edge lists ("n", then one
 "u v" line per edge); results render as text or JSON.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any
 
@@ -52,9 +54,9 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_eulerian_option(parser: argparse.ArgumentParser) -> None:
-    # The two parity readings among lewis.RHO23_PREDICATES: "hamiltonian"
-    # is a backtracking search with no bound on inputs of up to 62
-    # vertices, and the linking parity is not an Eulerian reading.
+    # The two parity readings of "Eulerian" among lewis.RHO23_PREDICATES:
+    # the cycle reading ("hamiltonian") and the linking parity are
+    # library-only.
     parser.add_argument(
         "--eulerian",
         choices=(lewis.EULERIAN_STANDARD, lewis.EULERIAN_EVEN_ONLY),
@@ -235,7 +237,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head -1``): stop without an
+        # error line, and point stdout at devnull so that the flush at
+        # shutdown cannot fail again. 141 = 128 + SIGPIPE, as a shell
+        # reports a writer that the signal ended.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

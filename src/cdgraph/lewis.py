@@ -21,9 +21,10 @@ Theorems 2.5, 2.7 and 3.2 each have one private verdict function. A
 caller's partition reaches it through one hypothesis gate, which
 validates it; a partition the package builds (report and survey) skips
 the gate, since it covers a diameter-3 graph by construction and its
-one validity decides. The rho2/rho3 predicates read adjacency masks
-(degrees inside rho2 | rho3, a breadth-first search kept inside it, or
-cross degrees); only the cycle reading builds the rho2 | rho3 subgraph.
+one validity decides. The rho2/rho3 predicates read adjacency masks:
+degrees inside rho2 | rho3, a breadth-first search kept inside it,
+cross degrees, or, for the cycle reading, a closed form that counts the
+linked vertices of each side.
 
 Theorem checks on graphs that pass the necessary-condition battery but
 are not genuine degree graphs may legitimately fail; such outcomes are
@@ -259,37 +260,47 @@ def first_valid_partition(g: Graph) -> tuple[LewisPartition, PartitionValidity] 
     return (p, validity) if validity.valid else None
 
 
-def _has_hamiltonian_cycle(g: Graph) -> bool:
-    n = g.n
-    if n < 3:
-        return False
+def _rho23_hamiltonian(g: Graph, p: LewisPartition) -> bool:
+    """Whether rho2 | rho3 induces a graph with a cycle through all its
+    vertices, read off the masks. Take A = rho2 and B = rho3 less rho2,
+    both cliques, and call the edges between them links. There is such a
+    cycle iff |A| + |B| >= 3 and one of these holds:
+
+    - both sides have two vertices or more, and two links are disjoint;
+    - one side is a single vertex with two links or more;
+    - one side is empty, so the other is a clique of three or more.
+
+    Two links are disjoint iff two vertices of each side are linked,
+    because links that all meet one vertex link only that vertex on its
+    side. So with both sides nonempty, each side needs min(2, its size)
+    linked vertices. The README proves the rule. Raises, naming the
+    side, when rho2 or rho3 is not a clique, and on a vertex outside the
+    graph."""
+    rho2, rho3 = _masks(g, p.rho2, p.rho3)
     adj = g.adjacency_masks
-    full = (1 << n) - 1
-    target = adj[0]
-
-    def extend(v: int, visited: int) -> bool:
-        if visited == full:
-            return bool(target >> v & 1)
-        for w in _bits(adj[v] & ~visited):
-            if extend(w, visited | 1 << w):
-                return True
-        return False
-
-    return extend(0, 1)
-
-
-def rho23_subgraph(g: Graph, p: LewisPartition) -> Graph:
-    sub, _ = gr.induced_subgraph(g, p.rho2 | p.rho3)
-    return sub
+    for name, side in (("rho2", rho2), ("rho3", rho3)):
+        if any(side & ~adj[v] & ~(1 << v) for v in _bits(side)):
+            raise ValueError(f"the hamiltonian reading needs {name} to be a clique")
+    rho3 &= ~rho2
+    if not rho2 or not rho3:
+        return (rho2 | rho3).bit_count() >= 3
+    linked2 = linked3 = 0
+    for v in _bits(rho2):
+        links = adj[v] & rho3
+        if links:
+            linked2 += 1
+            linked3 |= links
+    size2, size3 = rho2.bit_count(), rho3.bit_count()
+    return size2 + size3 >= 3 and linked2 >= min(2, size2) and linked3.bit_count() >= min(2, size3)
 
 
 def _rho23_parity(g: Graph, p: LewisPartition, connected: bool) -> bool:
-    """``all_degrees_even`` of ``rho23_subgraph``, or ``is_eulerian`` when
-    ``connected``, read off the adjacency masks: every vertex of rho2 |
-    rho3 has an even number of neighbors inside it, and a breadth-first
-    search kept inside rho2 | rho3 reaches all of it from its least
-    vertex. Raises, as those readings do, on a vertex outside the graph
-    and on an empty rho2 | rho3."""
+    """``all_degrees_even`` of the graph rho2 | rho3 induces, or
+    ``is_eulerian`` when ``connected``, read off the adjacency masks:
+    every vertex of rho2 | rho3 has an even number of neighbors inside
+    it, and a breadth-first search kept inside rho2 | rho3 reaches all
+    of it from its least vertex. Raises, as those readings do, on a
+    vertex outside the graph and on an empty rho2 | rho3."""
     (members,) = _masks(g, p.rho2 | p.rho3)
     if not members:
         raise ValueError(f"{'is_eulerian' if connected else 'all_degrees_even'} is undefined for the empty graph")
@@ -325,7 +336,7 @@ RHO23_PREDICATES: Mapping[str, Callable[[Graph, LewisPartition], bool]] = Mappin
     {
         EULERIAN_STANDARD: lambda g, p: _rho23_parity(g, p, connected=True),
         EULERIAN_EVEN_ONLY: lambda g, p: _rho23_parity(g, p, connected=False),
-        EULERIAN_HAMILTONIAN: lambda g, p: _has_hamiltonian_cycle(rho23_subgraph(g, p)),
+        EULERIAN_HAMILTONIAN: lambda g, p: _rho23_hamiltonian(g, p),
         "even-cross-degrees": lambda g, p: even_cross_degrees(g, p),
     }
 )

@@ -117,12 +117,13 @@ def min_code_by_permutation(n: int, edges) -> tuple[int, ...]:
     return best if best is not None else ()
 
 
-def refined_colors_by_sorted_neighbors(n: int, edges) -> list[int]:
+def refined_cells_by_sorted_neighbors(n: int, edges) -> list[int]:
     """Iterated degree refinement ranked by sorted neighbor colors: each
     round gives every vertex the rank of ``(color, sorted colors of its
     neighbors)`` among all signatures, until a round changes no color.
-    The package must produce exactly these ids, because the canonical
-    form orders the color classes by them."""
+    Returns the color classes as vertex masks, in color order. The
+    package must produce exactly these cells, because the canonical form
+    orders the color classes by them."""
     adj = adjacency(n, edges)
     degrees = [len(adj[v]) for v in range(n)]
     rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
@@ -132,8 +133,12 @@ def refined_colors_by_sorted_neighbors(n: int, edges) -> list[int]:
         remap = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [remap[s] for s in sigs]
         if new == color:
-            return color
+            break
         color = new
+    cells = [0] * len(set(color))
+    for v, c in enumerate(color):
+        cells[c] |= 1 << v
+    return cells
 
 
 def min_code_rows_by_frontier(n: int, edges) -> list[int]:
@@ -152,10 +157,10 @@ def min_code_rows_by_frontier(n: int, edges) -> list[int]:
         mask = ~((1 << u) | (1 << v))
         return (adj[u] ^ adj[v]) & mask == 0
 
-    color = refined_colors_by_sorted_neighbors(n, edges)
-    classes: list[list[int]] = [[] for _ in range(max(color) + 1)]
-    for v, c in enumerate(color):
-        classes[c].append(v)
+    classes = [
+        [v for v in range(n) if cell >> v & 1]
+        for cell in refined_cells_by_sorted_neighbors(n, edges)
+    ]
 
     position_class: list[int] = []
     for ci, members in enumerate(classes):
@@ -257,6 +262,28 @@ def is_eulerian_by_definition(n: int, edges) -> bool:
     if any(len(adj[v]) % 2 for v in range(n)):
         return False
     return len(components(n, edges)) <= 1
+
+
+def rho23_subgraph(edges, rho2, rho3) -> tuple[int, list[tuple[int, int]]]:
+    """The subgraph rho2 | rho3 induces, relabeled 0..k-1 in the order of
+    the original labels: its vertex count and its edges."""
+    label = {v: i for i, v in enumerate(sorted(set(rho2) | set(rho3)))}
+    return len(label), [(label[u], label[v]) for u, v in edges if u in label and v in label]
+
+
+def has_hamiltonian_cycle(n: int, edges) -> bool:
+    """A cycle through all n vertices, by backtracking over every path
+    from vertex 0. Exponential; keep n small."""
+    if n < 3:
+        return False
+    adj = adjacency(n, edges)
+
+    def extend(v: int, visited: set[int]) -> bool:
+        if len(visited) == n:
+            return 0 in adj[v]
+        return any(extend(w, visited | {w}) for w in adj[v] - visited)
+
+    return extend(0, {0})
 
 
 LEWIS_FLAGS = (

@@ -335,6 +335,58 @@ class TestCanonicalExactness:
         assert time.perf_counter() - start < 5.0
 
 
+def n7_candidates():
+    """Every labeled child the generator builds from the 156 classes on
+    six vertices: 9,984 graphs, the new vertex last."""
+    for form in _level_forms(6, _all_neighborhoods):
+        masks = decode_graph6(form).adjacency_masks
+        for neighborhood in range(1 << 6):
+            child = [m | 64 if neighborhood >> i & 1 else m for i, m in enumerate(masks)]
+            yield Graph.from_masks(7, child + [neighborhood])
+
+
+def assert_cell_contract(g: Graph) -> None:
+    """``refined_colors`` returns nonempty, pairwise disjoint vertex masks
+    that cover the vertices, and the last holds vertices of maximum
+    degree only."""
+    adj = g.adjacency_masks
+    cells = refined_colors(g.n, adj)
+    assert all(cells)
+    assert sum(cell.bit_count() for cell in cells) == g.n
+    union = 0
+    for cell in cells:
+        union |= cell
+    assert union == (1 << g.n) - 1
+    if g.n:
+        top = max(a.bit_count() for a in adj)
+        assert all(adj[v].bit_count() == top for v in range(g.n) if cells[-1] >> v & 1)
+
+
+class TestCellContract:
+    """The cells partition the vertices, and the last cell is a set of
+    maximum-degree vertices, whatever the graph."""
+
+    @given(refinement_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_cells_partition_the_vertices(self, g):
+        assert_cell_contract(g)
+
+    def test_cells_partition_the_n7_candidates(self):
+        count = 0
+        for g in n7_candidates():
+            assert_cell_contract(g)
+            count += 1
+        assert count == 9984
+
+    def test_cells_partition_the_symmetric_graphs(self):
+        for g in [*named_symmetric().values(), *large_symmetric()]:
+            assert_cell_contract(g)
+
+    def test_empty_and_single_vertex_graphs(self):
+        assert refined_colors(0, ()) == []
+        assert refined_colors(1, (0,)) == [1]
+
+
 class TestByteIdentity:
     """Pins the canonical forms to the bytes of the sorted-neighbor-tuple
     refinement and the per-bit graph6 packer that count-based refinement
@@ -343,23 +395,18 @@ class TestByteIdentity:
     @given(refinement_inputs())
     @settings(max_examples=150, deadline=None)
     def test_refined_colors_match_sorted_tuple_reference(self, g):
-        expected = oracles.refined_colors_by_sorted_neighbors(g.n, g.edges())
+        expected = oracles.refined_cells_by_sorted_neighbors(g.n, g.edges())
         assert refined_colors(g.n, g.adjacency_masks) == expected
 
     def test_refined_colors_match_reference_on_n7_candidates(self):
-        # Every labeled child the generator builds from the 156 classes on
-        # six vertices: 9,984 inputs. 7,466 of them refine to a discrete
-        # coloring or to twin classes only, and so skip the search.
-        for form in _level_forms(6, _all_neighborhoods):
-            masks = decode_graph6(form).adjacency_masks
-            for neighborhood in range(1 << 6):
-                child = [m | 64 if neighborhood >> i & 1 else m for i, m in enumerate(masks)]
-                g = Graph.from_masks(7, child + [neighborhood])
-                edges = g.edges()
-                expected = oracles.refined_colors_by_sorted_neighbors(7, edges)
-                assert refined_colors(7, g.adjacency_masks) == expected
-                expected_rows = oracles.min_code_rows_by_frontier(7, edges)
-                assert _min_code_rows(7, g.adjacency_masks) == expected_rows
+        # 7,466 of the 9,984 candidates refine to a discrete coloring or
+        # to twin classes only, and so skip the search.
+        for g in n7_candidates():
+            edges = g.edges()
+            expected = oracles.refined_cells_by_sorted_neighbors(7, edges)
+            assert refined_colors(7, g.adjacency_masks) == expected
+            expected_rows = oracles.min_code_rows_by_frontier(7, edges)
+            assert _min_code_rows(7, g.adjacency_masks) == expected_rows
 
     @pytest.mark.parametrize("n", range(2, 63))
     def test_refined_colors_match_reference_on_paths(self, n):
@@ -367,13 +414,13 @@ class TestByteIdentity:
         # outer vertices: P62 takes 30 rounds and ends with one cell per
         # pair of mirror images.
         g = path_graph(n)
-        color = refined_colors(n, g.adjacency_masks)
-        assert color == oracles.refined_colors_by_sorted_neighbors(n, g.edges())
-        assert max(color) + 1 == (n + 1) // 2
+        cells = refined_colors(n, g.adjacency_masks)
+        assert cells == oracles.refined_cells_by_sorted_neighbors(n, g.edges())
+        assert len(cells) == (n + 1) // 2
 
     def test_refined_colors_match_reference_on_symmetric_graphs(self):
         for g in [*named_symmetric().values(), *large_symmetric()]:
-            expected = oracles.refined_colors_by_sorted_neighbors(g.n, g.edges())
+            expected = oracles.refined_cells_by_sorted_neighbors(g.n, g.edges())
             assert refined_colors(g.n, g.adjacency_masks) == expected
 
     @pytest.mark.parametrize("n", [2, 13, 62])  # 13 vertices: 78 bits, whole 6-bit groups
@@ -453,17 +500,18 @@ class TestByteIdentity:
             assert _min_code_rows(n, h.adjacency_masks) == expected
 
 
-def degree_colors(n: int, adj: tuple[int, ...]) -> list[int]:
-    """Vertex colors by degree rank: invariant under relabeling, but in
-    general not equitable, unlike ``refined_colors``."""
+def degree_cells(n: int, adj: tuple[int, ...]) -> list[int]:
+    """The degree classes as vertex masks, by increasing degree:
+    invariant under relabeling, but in general not equitable, unlike
+    ``refined_colors``."""
     degrees = sorted({a.bit_count() for a in adj})
-    return [degrees.index(a.bit_count()) for a in adj]
+    return [sum(1 << v for v in range(n) if adj[v].bit_count() == d) for d in degrees]
 
 
-def min_rows_over_cell_orders(n: int, adj: tuple[int, ...], color: list[int]) -> list[int]:
-    """The least code rows over every order that lists the color classes
-    in color order, by trying each one."""
-    classes = [[v for v in range(n) if color[v] == c] for c in range(max(color) + 1)]
+def min_rows_over_cell_orders(n: int, adj: tuple[int, ...], cells: list[int]) -> list[int]:
+    """The least code rows over every order that lists the cells in
+    order, by trying each one."""
+    classes = [[v for v in range(n) if cell >> v & 1] for cell in cells]
     best: list[int] | None = None
     for parts in product(*(permutations(members) for members in classes)):
         order = [v for part in parts for v in part]
@@ -510,14 +558,14 @@ class TestTwinCells:
         # the first cell {1, 4}. The search must still return the least
         # code over the orders the coloring allows, so each row a twin
         # cell places is compared with the best code's.
-        monkeypatch.setattr(canonical, "refined_colors", degree_colors)
+        monkeypatch.setattr(canonical, "refined_colors", degree_cells)
         edges = [(0, 1), (0, 3), (0, 5), (1, 2), (2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]
         inputs = [Graph(6, edges)]
         rng = random.Random(5)
         inputs += [random_graph(rng, rng.randint(4, 7), 0.5) for _ in range(300)]
         for g in inputs:
             adj = g.adjacency_masks
-            expected = min_rows_over_cell_orders(g.n, adj, degree_colors(g.n, adj))
+            expected = min_rows_over_cell_orders(g.n, adj, degree_cells(g.n, adj))
             assert _min_code_rows(g.n, adj) == expected
 
     def test_odd_family_search_frames_do_not_grow_with_n(self):

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -443,6 +447,32 @@ class TestPipelines:
         parse_fail, _, _ = run_cli(capsys, "check", "--g6", "not-a-graph")
         ok = main(["check", "--g6", encode_graph6(odd_family(6)).decode("ascii")])
         assert (ok, verdict_fail, parse_fail) == (0, 1, 2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["enumerate", "--n", "7", "--filter", "all"], ["family", "--n", "8"]],
+        ids=["stream", "one-line"],
+    )
+    def test_closed_reader_exits_141_without_an_error_line(self, argv):
+        # As in `cdgraph enumerate --n 7 | head -1`, but with the reader
+        # closed before the process starts, so that its first write meets
+        # a closed pipe: in the stream's loop, or in the one-line
+        # command's final flush.
+        src = Path(__file__).resolve().parents[1] / "src"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "cdgraph.cli", *argv],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": str(src)},
+                timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert done.stderr == b""
+        assert done.returncode == 141
 
 
 # sha256 over the exit code and stdout of in-process ``cli.main`` for each

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import random
+import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, find, given, settings
@@ -345,6 +348,129 @@ class TestRho23Predicates:
         assert rho23_predicate(g, p, "even-cross-degrees") == expected
 
 
+def linked_cliques(rng, size2, size3):
+    """Cliques A (rho2) and B (rho3) of the given sizes on shuffled labels,
+    joined by random links, and a partition naming them; the predicate
+    reads rho2 and rho3 only."""
+    labels = list(range(size2 + size3))
+    rng.shuffle(labels)
+    side2, side3 = labels[:size2], labels[size2:]
+    edges = [pair for side in (side2, side3) for pair in combinations(side, 2)]
+    density = rng.random()
+    edges += [(a, b) for a in side2 for b in side3 if rng.random() < density]
+    p = LewisPartition(0, 0, frozenset(), frozenset(side2), frozenset(side3), frozenset())
+    return Graph(size2 + size3, edges), p
+
+
+def hamiltonian_by_oracle(g, p):
+    return oracles.has_hamiltonian_cycle(*oracles.rho23_subgraph(g.edges(), p.rho2, p.rho3))
+
+
+def four_side_member():
+    """The 20-vertex all-odd graph with (|rho1|, |rho2|, |rho3|, |rho4|)
+    = (1, 3, 13, 3) whose rho3 vertices are linked to the rho2 pairs
+    {1, 2}, {1, 3} and {2, 3}, 1, 1 and 11 times: r = 0, rho2 = 1..3,
+    rho3 = 4..16, rho4 = 17..19."""
+    edges = list(combinations(range(4), 2)) + list(combinations(range(4, 20), 2))
+    pairs = [(1, 2), (1, 3)] + [(2, 3)] * 11
+    edges += [(a, v) for v, pair in zip(range(4, 17), pairs) for a in pair]
+    return Graph(20, edges)
+
+
+class TestHamiltonianReading:
+    """The cycle reading in closed form: on two cliques rho2 and rho3,
+    a cycle through every vertex of rho2 | rho3 exists iff the sides
+    have three vertices together and each side has min(2, its size)
+    linked vertices."""
+
+    def test_matches_oracle_on_every_valid_partition_to_n8(self):
+        outcomes = []
+        for n in range(1, 9):
+            for g in enumerate_nonisomorphic(n):
+                for _, p, validity in enumerate_lewis_partitions(g):
+                    if validity.valid:
+                        got = rho23_predicate(g, p, EULERIAN_HAMILTONIAN)
+                        assert got == hamiltonian_by_oracle(g, p), (g, p)
+                        # Every member is linked, so only two singleton
+                        # sides close no cycle (README).
+                        assert got == (len(p.rho2) + len(p.rho3) >= 3)
+                        outcomes.append((got, min(len(p.rho2), len(p.rho3)) == 1))
+        # Both verdicts with a singleton side. Without one, every member of
+        # a valid partition is linked, so two links are disjoint and the
+        # cycle exists.
+        assert set(outcomes) == {(True, True), (True, False), (False, True)}
+
+    def test_matches_oracle_on_random_linked_cliques(self):
+        rng = random.Random("hamiltonian")
+        outcomes = set()
+        for _ in range(600):
+            g, p = linked_cliques(rng, rng.randint(0, 6), rng.randint(0, 6))
+            got = rho23_predicate(g, p, EULERIAN_HAMILTONIAN)
+            assert got == hamiltonian_by_oracle(g, p), (g.edges(), p)
+            outcomes.add((got, min(len(p.rho2), len(p.rho3))))
+        assert outcomes >= {(verdict, smaller) for verdict in (True, False) for smaller in (0, 1, 2)}
+
+    def test_links_sharing_a_vertex_close_no_cycle(self):
+        # Two cliques of three, linked only through vertex 0: every link
+        # meets 0, so a cycle would pass 0 twice. With one more link away
+        # from 0 there is a cycle; a singleton side needs two links.
+        star = [(0, 3), (0, 4), (0, 5)]
+        cases = [
+            ((0, 1, 2), (3, 4, 5), star, False),
+            ((0, 1, 2), (3, 4, 5), star + [(1, 3)], True),
+            ((0,), (1, 2), [(0, 1)], False),
+            ((0,), (1, 2), [(0, 1), (0, 2)], True),
+        ]
+        for side2, side3, links, expected in cases:
+            edges = [pair for side in (side2, side3) for pair in combinations(side, 2)] + links
+            g = Graph(len(side2) + len(side3), edges)
+            p = LewisPartition(0, 0, frozenset(), frozenset(side2), frozenset(side3), frozenset())
+            assert rho23_predicate(g, p, EULERIAN_HAMILTONIAN) is expected
+            assert hamiltonian_by_oracle(g, p) is expected
+
+    def test_overlapping_sides_read_as_their_union(self):
+        # A caller's rho3 may share vertices with rho2: the cycle is
+        # read on the subgraph their union induces, as the oracle reads it.
+        k4 = Graph(4, list(combinations(range(4), 2)))
+        for rho2, rho3 in (({0, 1}, {1, 2}), ({0, 1, 2}, {0, 1}), ({0, 1}, {0, 1}), ({0, 1, 2, 3}, {2, 3})):
+            p = LewisPartition(0, 0, frozenset(), frozenset(rho2), frozenset(rho3), frozenset())
+            assert rho23_predicate(k4, p, EULERIAN_HAMILTONIAN) == hamiltonian_by_oracle(k4, p)
+
+    def test_refuses_a_side_that_is_not_a_clique(self):
+        g = path_graph(4)
+        for rho2, rho3, side in (({0, 2}, {3}, "rho2"), ({1}, {0, 2}, "rho3"), ({0, 2}, {1, 3}, "rho2")):
+            p = LewisPartition(0, 0, frozenset(), frozenset(rho2), frozenset(rho3), frozenset())
+            with pytest.raises(ValueError, match=f"^the hamiltonian reading needs {side} to be a clique$"):
+                rho23_predicate(g, p, EULERIAN_HAMILTONIAN)
+        p = LewisPartition(0, 0, frozenset(), frozenset({1}), frozenset({9}), frozenset())
+        with pytest.raises(ValueError, match=r"^vertex 9 out of range 0\.\.3$"):
+            rho23_predicate(g, p, EULERIAN_HAMILTONIAN)
+
+    def test_twenty_vertex_member_finishes_in_few_calls(self):
+        # A backtracking search over rho2 | rho3 took 41.6 s on this
+        # graph. The closed form makes a bounded number of Python calls,
+        # counted while the whole theorem check runs.
+        g = four_side_member()
+        assert all_degrees_odd(g) and diameter(g) == 3
+        p, _ = first_valid_partition(g)
+        assert [len(side) for side in p[2:]] == [1, 3, 13, 3]
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            verdict = check_theorem_3_2(g, p, EULERIAN_HAMILTONIAN)
+        finally:
+            sys.setprofile(previous)
+        assert verdict.rho23_eulerian and verdict.characterization_holds
+        assert calls < 500, calls
+
+
 class TestTheorem33:
     def test_figure2(self):
         assert check_theorem_3_3(figure2_graph()).verdict == PASS
@@ -479,7 +605,8 @@ class TestHypothesisGate:
             for g in enumerate_nonisomorphic(n):
                 for _, p, validity in enumerate_lewis_partitions(g):
                     if validity.valid:
-                        assert is_connected(lewis.rho23_subgraph(g, p))
+                        k, edges = oracles.rho23_subgraph(g.edges(), p.rho2, p.rho3)
+                        assert len(oracles.components(k, edges)) == 1
                         readings.append(
                             (rho23_predicate(g, p, EULERIAN_STANDARD), rho23_predicate(g, p, EULERIAN_EVEN_ONLY))
                         )
@@ -637,17 +764,18 @@ def reference_report(g, mode):
 
 def rho23_by_oracle(g, partition, mode):
     """Theorem 3.2's rho2/rho3 condition from the partition's lists and
-    the edge list alone (no cycle reading: that one has no oracle)."""
+    the edge list alone."""
     rho2, rho3 = set(partition["rho2"]), set(partition["rho3"])
     if mode == "even-cross-degrees":
         adj = oracles.adjacency(g.n, g.edges())
         return all(len(adj[u] & rho3) % 2 == 0 for u in rho2) and all(len(adj[v] & rho2) % 2 == 0 for v in rho3)
-    label = {v: i for i, v in enumerate(sorted(rho2 | rho3))}
-    edges = [(label[u], label[v]) for u, v in g.edges() if u in label and v in label]
-    adj = oracles.adjacency(len(label), edges)
+    k, edges = oracles.rho23_subgraph(g.edges(), rho2, rho3)
+    if mode == EULERIAN_HAMILTONIAN:
+        return oracles.has_hamiltonian_cycle(k, edges)
+    adj = oracles.adjacency(k, edges)
     if mode == EULERIAN_EVEN_ONLY:
         return all(len(adj[v]) % 2 == 0 for v in adj)
-    return oracles.is_eulerian_by_definition(len(label), edges)
+    return oracles.is_eulerian_by_definition(k, edges)
 
 
 def assert_report_matches_reference(g, mode):
@@ -664,13 +792,13 @@ def assert_report_matches_reference(g, mode):
     odd_degree = theorems["3.2"]
     assert odd_degree["rho12_size_even"] == ((sizes["rho1"] + sizes["rho2"]) % 2 == 0)
     assert odd_degree["rho34_size_even"] == ((sizes["rho3"] + sizes["rho4"]) % 2 == 0)
-    if mode != EULERIAN_HAMILTONIAN:
-        assert odd_degree["rho23_eulerian"] == rho23_by_oracle(g, part, mode)
+    assert odd_degree["rho23_eulerian"] == rho23_by_oracle(g, part, mode)
 
 
 # The seeded corpus: co-bipartite diameter-3 graphs (always valid),
 # copies less one edge, all-odd linked cliques, dense random graphs and
-# clique unions, n = 10..62; the cycle reading only up to n = 12.
+# clique unions, n = 10..62; the cycle reading only up to n = 12, where
+# its backtracking oracle stays fast.
 DIFFERENTIAL = [
     (mode, seed, max_n)
     for seed in (1, 2)
