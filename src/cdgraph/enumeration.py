@@ -180,15 +180,13 @@ def verify_section_3(n: int) -> EnumerationSummary:
             regular_discrepancies.append(g6)
         if gr.diameter(g) != 3:
             continue
-        found = lewis.first_valid_partition(g)
-        if found is None:
+        failed = lewis._failed_characterizations(g)
+        if failed is None:
             no_valid_partition.append(g6)
             continue
         surveyed += 1
-        p, _ = found  # built and validated, so it skips the theorems' gate
-        for mode in lewis.RHO23_PREDICATES:
-            if not lewis._theorem_3_2(g, p, mode).characterization_holds:
-                t32_discrepancies[mode].append(g6)
+        for mode in failed:
+            t32_discrepancies[mode].append(g6)
 
     notes: list[str] = []
     total: int | None = None

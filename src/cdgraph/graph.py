@@ -8,18 +8,21 @@ this package targets.
 Distances and blocks are computed at most once per ``Graph`` and cached
 on it, each by one traversal the first time some function asks for it.
 Distances come from one all-sources BFS over n*n-bit layer matrices:
-entry d of ``_distance_layers`` holds, in row s, the mask of the
-vertices at distance d from s. Layer 0 is the identity, layer 1 the
-adjacency matrix, and each later layer one boolean matrix product done
-as a shift, a mask and a multiply per vertex, so the pass costs a few
-big-int operations per vertex and layer, whatever the number of
-sources; it keeps one n*n-bit int per layer, about 0.5 KB at the graph6
-limit n = 62. Connectivity, components, eccentricity, the diameter, the
-periphery and the Lewis layers read rows of those matrices, and
-``is_block`` reads the block count, so ``_distance_layers`` and
-``_decompose`` are the only traversals; only ``bfs_distances`` writes
-out per-vertex distances. The battery, the Lewis partitions and the
-theorem verdicts all read the same cached structure. A graph that
+entry d of the matrices ``_distance_layers`` returns holds, in row s,
+the mask of the vertices at distance d from s. Layer 0 is the identity,
+layer 1 the adjacency matrix, and each later layer one boolean matrix
+product done as a shift, a mask and a multiply per vertex, so the pass
+costs a few big-int operations per vertex and layer, whatever the
+number of sources; it keeps one n*n-bit int per layer, about 0.5 KB at
+the graph6 limit n = 62. The same pass records whether the graph is
+connected (every row full at the end), and ``is_connected``, the
+diameter, the periphery and eccentricities read that flag instead of
+summing rows. Components, eccentricities and the Lewis layers read
+rows of the matrices, the periphery folds the last one's rows into one
+mask, and ``is_block`` reads the block count, so ``_distance_layers``
+and ``_decompose`` are the only traversals; only ``bfs_distances``
+writes out per-vertex distances. The battery, the Lewis partitions and
+the theorem verdicts all read the same cached structure. A graph that
 ``decode_graph6`` built also keeps the bytes it was decoded from, which
 ``encode_graph6`` returns. The caches never enter ``==`` or ``hash``.
 """
@@ -46,11 +49,11 @@ class Graph:
     Instances are immutable after construction and hashable, so they are
     safe to share across workers and to use as cache keys. The private
     ``_dist`` and ``_blocks`` slots are lazily filled caches of derived
-    structure, the tuple of distance-layer matrices (entry d holds, in
-    row s, the vertices at distance d from s) and the block
-    decomposition (see the module docstring), and ``_g6`` holds the
-    graph6 bytes a decoded graph came from; equality and hashing ignore
-    them.
+    structure, the pair of the distance-layer matrices (entry d holds,
+    in row s, the vertices at distance d from s) and the connectivity
+    flag, and the block decomposition (see the module docstring), and
+    ``_g6`` holds the graph6 bytes a decoded graph came from; equality
+    and hashing ignore them.
     """
 
     __slots__ = ("n", "_adj", "_dist", "_blocks", "_g6")
@@ -68,7 +71,7 @@ class Graph:
             adj[v] |= 1 << u
         self.n: int = n
         self._adj: tuple[int, ...] = tuple(adj)
-        self._dist: tuple[int, ...] | None = None
+        self._dist: tuple[tuple[int, ...], bool] | None = None
         self._blocks: BlockDecomposition | None = None
         self._g6: bytes | None = None
 
@@ -153,7 +156,7 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or sum(_layers(g, 0)) == (1 << g.n) - 1
+    return _distance_layers(g)[1]
 
 
 def _layers(g: Graph, source: int) -> tuple[int, ...]:
@@ -163,7 +166,7 @@ def _layers(g: Graph, source: int) -> tuple[int, ...]:
     validate)."""
     shift, full = source * g.n, (1 << g.n) - 1
     rows = []
-    for layer in _distance_layers(g):
+    for layer in _distance_layers(g)[0]:
         row = layer >> shift & full
         if not row:
             break
@@ -171,13 +174,16 @@ def _layers(g: Graph, source: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _distance_layers(g: Graph) -> tuple[int, ...]:
-    """The layer matrices of ``g``, from one all-sources BFS cached on it.
+def _distance_layers(g: Graph) -> tuple[tuple[int, ...], bool]:
+    """The layer matrices of ``g`` and whether it is connected, from one
+    all-sources BFS cached on it.
 
-    Entry d is an n*n-bit int whose row s (bits s*n .. s*n+n-1) masks
-    the vertices at distance d from s; the tuple ends before the first
-    level that is empty in every row, so its length is one more than the
-    largest distance inside any component.
+    Entry d of the matrices is an n*n-bit int whose row s (bits
+    s*n .. s*n+n-1) masks the vertices at distance d from s; the tuple
+    ends before the first level that is empty in every row, so its
+    length is one more than the largest distance inside any component.
+    The graph is connected when the pass ends with every row full, so
+    a graph with at most one vertex is.
     """
     if g._dist is None:
         n, adj = g.n, g._adj
@@ -197,7 +203,7 @@ def _distance_layers(g: Graph) -> tuple[int, ...]:
                 # product is carry-free because mask < 2**n fits in a row.
                 nxt |= (frontier >> u & column) * mask
             frontier = nxt & ~seen
-        g._dist = tuple(layers)
+        g._dist = tuple(layers), seen == everything
     return g._dist
 
 
@@ -220,30 +226,36 @@ def bfs_distances(g: Graph, source: int) -> list[int | float]:
 def eccentricity(g: Graph, v: int) -> int | float:
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")
-    layers = _layers(g, v)
-    return len(layers) - 1 if sum(layers) == (1 << g.n) - 1 else INFINITY
+    return len(_layers(g, v)) - 1 if _distance_layers(g)[1] else INFINITY
 
 
 def diameter(g: Graph) -> int | float:
     """Largest pairwise distance; inf when disconnected, 0 for n=1."""
     _require_vertices(g, "diameter")
-    return max_component_diameter(g) if is_connected(g) else INFINITY
+    layers, connected = _distance_layers(g)
+    return len(layers) - 1 if connected else INFINITY
 
 
 def max_component_diameter(g: Graph) -> int:
     """Largest distance between two vertices of one component: the
     largest component diameter, and the diameter of a connected graph."""
-    return len(_distance_layers(g)) - 1
+    return len(_distance_layers(g)[0]) - 1
 
 
 def periphery(g: Graph) -> list[int]:
     """The vertices whose eccentricity is the diameter, in increasing
-    order; empty when the graph is disconnected."""
-    if not is_connected(g):
+    order; empty when the graph is disconnected. Distance is symmetric,
+    so that is the union of the last layer's rows, which folding the
+    matrix in halves gives in about log2(n) big-int operations."""
+    layers, connected = _distance_layers(g)
+    if not connected:
         return []
-    n, last = g.n, _distance_layers(g)[-1]
-    full = (1 << n) - 1
-    return [v for v in range(n) if last >> v * n & full]
+    n, rows, last = g.n, g.n, layers[-1]
+    while rows > 1:
+        half = (rows + 1) // 2
+        last = (last & ((1 << half * n) - 1)) | last >> half * n
+        rows = half
+    return list(_bits(last))
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

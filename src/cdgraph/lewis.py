@@ -11,20 +11,25 @@ the vertex set splits by distance from r into:
 On a genuine solvable-group degree graph, rho1+rho2 and rho3+rho4
 induce complete subgraphs, rho1 has no edge into rho3+rho4, rho4 none
 into rho1+rho2, and rho2/rho3 are mutually linked. ``validate_partition``
-re-checks all five properties with witnesses, since arbitrary inputs
-need not satisfy them. Partitions are read off the graph's cached
-distance-layer matrices (rho3 and rho4 are the base's rows at distance
-2 and 3, and the bases are the rows that reach distance 3), and each
-property is tested with one adjacency-mask operation per vertex.
+checks all five properties with witnesses on a partition a caller hands
+in, since arbitrary inputs need not satisfy them. Each property is
+tested with one adjacency-mask operation per vertex.
 
-Theorems 2.5, 2.7 and 3.2 each have one private verdict function. A
-caller's partition reaches it through one hypothesis gate, which
-validates it; a partition the package builds (report and survey) skips
-the gate, since it covers a diameter-3 graph by construction and its
-one validity decides. The rho2/rho3 predicates read adjacency masks:
-degrees inside rho2 | rho3, a breadth-first search kept inside it,
-cross degrees, or, for the cycle reading, a closed form that counts the
-linked vertices of each side.
+The package builds its own partition once per graph, as four vertex
+masks read off the graph's cached distance-layer matrices, and tests
+only its two cliques, since the BFS layers force the three cross
+properties. ``partition_report``, ``first_valid_partition`` and the
+survey read those masks; only public results hold vertex sets.
+
+Theorems 2.5, 2.7 and 3.2 each have one private verdict function on
+masks. A caller's partition reaches it through one hypothesis gate,
+which validates it, and is converted to masks after the gate; a
+partition the package builds skips the gate, since it covers a
+diameter-3 graph by construction and its one validity decides. The
+rho2/rho3 predicates read the masks of rho2 and rho3: degrees inside
+rho2 | rho3, a breadth-first search kept inside it, cross degrees, or,
+for the cycle reading, a closed form that counts the linked vertices
+of each side.
 
 Theorem checks on graphs that pass the necessary-condition battery but
 are not genuine degree graphs may legitimately fail; such outcomes are
@@ -132,17 +137,34 @@ class TheoremVerdict(NamedTuple):
         }
 
 
+# The four sets of a partition as vertex masks, rho1 to rho4.
+_Rho = tuple[int, int, int, int]
+
+
 def lewis_partition(g: Graph, r: int) -> LewisPartition | None:
     """Distance partition from base vertex r, or None when inapplicable
     (graph disconnected or eccentricity of r differs from 3). An r
     outside 0..n-1 is refused by ``eccentricity``."""
     if gr.eccentricity(g, r) != 3:  # inf when some vertex is unreachable
         return None
+    return _partition(r, _rho(g, r))
+
+
+def _rho(g: Graph, r: int) -> _Rho:
+    """The masks of the partition from a base r of eccentricity 3
+    (unchecked): rho3 and rho4 are r's rows at distance 2 and 3, and
+    rho2 is the neighbours of r that are neighbours of rho3."""
     _, neighbors, rho3, rho4 = gr._layers(g, r)
     adj = g.adjacency_masks
-    rho2 = sum(1 << v for v in _bits(neighbors) if adj[v] & rho3)
-    rho1 = (neighbors ^ rho2) | 1 << r
-    return LewisPartition(r, _low(rho4), *(frozenset(_bits(m)) for m in (rho1, rho2, rho3, rho4)))
+    reached = 0
+    for v in _bits(rho3):
+        reached |= adj[v]
+    rho2 = neighbors & reached
+    return (neighbors ^ rho2) | 1 << r, rho2, rho3, rho4
+
+
+def _partition(r: int, rho: _Rho) -> LewisPartition:
+    return LewisPartition(r, _low(rho[3]), *(frozenset(_bits(m)) for m in rho))
 
 
 def _masks(g: Graph, *sets: frozenset[int]) -> list[int]:
@@ -163,47 +185,56 @@ def _low(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def _missing_edge(adj: tuple[int, ...], members: int) -> list[int] | None:
+    """The first non-edge inside ``members``: the least u with a
+    non-neighbour above it there, and the least such; None when
+    ``members`` is a clique."""
+    rest = members
+    while rest:
+        low = rest & -rest
+        rest ^= low  # the members above u
+        missing = rest & ~adj[low.bit_length() - 1]
+        if missing:
+            return [low.bit_length() - 1, _low(missing)]
+    return None
+
+
+def _validity(*found: Any) -> PartitionValidity:
+    """The flags and witnesses from the first violation of each of the
+    five properties, in field order (None where it holds)."""
+    return PartitionValidity(
+        *(witness is None for witness in found),
+        witnesses=tuple((flag, w) for flag, w in zip(PartitionValidity._fields, found) if w is not None),
+    )
+
+
 def validate_partition(g: Graph, p: LewisPartition) -> PartitionValidity:
     """Evaluate the five structural properties, each with a witness on failure.
 
     Each property tests one adjacency mask per vertex against the mask
-    of the set it must (or must not) reach, in sorted vertex order, so
-    the witness is the first offending pair (or vertex).
+    of the set it must (or must not) reach, in ascending vertex order,
+    so the witness is the first offending pair (or vertex).
     """
     adj = g.adjacency_masks
     rho1, rho2, rho3, rho4 = _masks(g, p.rho1, p.rho2, p.rho3, p.rho4)
-    witnesses: list[tuple[str, Any]] = []
 
-    def complete_within(vertices: frozenset[int], members: int, flag: str) -> bool:
-        for u in sorted(vertices):
-            missing = members & ~adj[u] & ~((2 << u) - 1)  # non-neighbors above u
-            if missing:
-                witnesses.append((flag, [u, _low(missing)]))
-                return False
-        return True
-
-    def no_edges_between(a: frozenset[int], targets: int, flag: str) -> bool:
-        for u in sorted(a):
+    def first_edge(a: int, targets: int) -> list[int] | None:
+        for u in _bits(a):
             hit = adj[u] & targets
             if hit:
-                witnesses.append((flag, [u, _low(hit)]))
-                return False
-        return True
+                return [u, _low(hit)]
+        return None
 
-    def each_linked(a: frozenset[int], targets: int) -> bool:
-        for u in sorted(a):
-            if not adj[u] & targets:
-                witnesses.append(("rho2_rho3_mutual_adjacency", u))
-                return False
-        return True
+    def unlinked(a: int, targets: int) -> int | None:
+        return next((u for u in _bits(a) if not adj[u] & targets), None)
 
-    return PartitionValidity(
-        rho12_complete=complete_within(p.rho1 | p.rho2, rho1 | rho2, "rho12_complete"),
-        rho34_complete=complete_within(p.rho3 | p.rho4, rho3 | rho4, "rho34_complete"),
-        no_rho1_to_rho34_edges=no_edges_between(p.rho1, rho3 | rho4, "no_rho1_to_rho34_edges"),
-        no_rho4_to_rho12_edges=no_edges_between(p.rho4, rho1 | rho2, "no_rho4_to_rho12_edges"),
-        rho2_rho3_mutual_adjacency=each_linked(p.rho2, rho3) and each_linked(p.rho3, rho2),
-        witnesses=tuple(witnesses),
+    mutual = unlinked(rho2, rho3)
+    return _validity(
+        _missing_edge(adj, rho1 | rho2),
+        _missing_edge(adj, rho3 | rho4),
+        first_edge(rho1, rho3 | rho4),
+        first_edge(rho4, rho1 | rho2),
+        unlinked(rho3, rho2) if mutual is None else mutual,
     )
 
 
@@ -225,13 +256,12 @@ def enumerate_lewis_partitions(g: Graph) -> list[tuple[int, LewisPartition, Part
     return out
 
 
-def _canonical_partition(
-    g: Graph,
-) -> tuple[list[int], LewisPartition, PartitionValidity] | None:
-    """The eccentricity-3 base vertices, and the partition from the
-    smallest of them with its validity; None when the diameter is not 3.
-    The bases are the periphery: on a diameter-3 graph, the vertices
-    whose row of the distance-3 layer is not empty.
+def _build_partition(g: Graph) -> tuple[list[int], _Rho, PartitionValidity] | None:
+    """The eccentricity-3 base vertices, and the masks of the partition
+    from the smallest of them with its validity; None when the diameter
+    is not 3. The bases are the periphery. The BFS layers give such a
+    partition the three cross properties (the README proves it), so
+    only the two cliques are tested.
 
     Validity does not depend on the base: when one partition validates,
     the eccentricity-3 vertices are exactly rho1 | rho4 (rho2 and rho3
@@ -242,8 +272,10 @@ def _canonical_partition(
     if g.n == 0 or gr.diameter(g) != 3:
         return None
     bases = gr.periphery(g)
-    p = lewis_partition(g, bases[0])
-    return bases, p, validate_partition(g, p)
+    rho = rho1, rho2, rho3, rho4 = _rho(g, bases[0])
+    adj = g.adjacency_masks
+    cliques = _missing_edge(adj, rho1 | rho2), _missing_edge(adj, rho3 | rho4)
+    return bases, rho, _validity(*cliques, None, None, None)
 
 
 def first_valid_partition(g: Graph) -> tuple[LewisPartition, PartitionValidity] | None:
@@ -253,14 +285,14 @@ def first_valid_partition(g: Graph) -> tuple[LewisPartition, PartitionValidity] 
     validates, and no base otherwise, since validity does not depend
     on the base.
     """
-    found = _canonical_partition(g)
-    if found is None:
+    built = _build_partition(g)
+    if built is None or not built[2].valid:
         return None
-    _, p, validity = found
-    return (p, validity) if validity.valid else None
+    bases, rho, validity = built
+    return _partition(bases[0], rho), validity
 
 
-def _rho23_hamiltonian(g: Graph, p: LewisPartition) -> bool:
+def _rho23_hamiltonian(g: Graph, rho2: int, rho3: int) -> bool:
     """Whether rho2 | rho3 induces a graph with a cycle through all its
     vertices, read off the masks. Take A = rho2 and B = rho3 less rho2,
     both cliques, and call the edges between them links. There is such a
@@ -274,9 +306,7 @@ def _rho23_hamiltonian(g: Graph, p: LewisPartition) -> bool:
     because links that all meet one vertex link only that vertex on its
     side. So with both sides nonempty, each side needs min(2, its size)
     linked vertices. The README proves the rule. Raises, naming the
-    side, when rho2 or rho3 is not a clique, and on a vertex outside the
-    graph."""
-    rho2, rho3 = _masks(g, p.rho2, p.rho3)
+    side, when rho2 or rho3 is not a clique."""
     adj = g.adjacency_masks
     for name, side in (("rho2", rho2), ("rho3", rho3)):
         if any(side & ~adj[v] & ~(1 << v) for v in _bits(side)):
@@ -294,14 +324,14 @@ def _rho23_hamiltonian(g: Graph, p: LewisPartition) -> bool:
     return size2 + size3 >= 3 and linked2 >= min(2, size2) and linked3.bit_count() >= min(2, size3)
 
 
-def _rho23_parity(g: Graph, p: LewisPartition, connected: bool) -> bool:
+def _rho23_parity(g: Graph, rho2: int, rho3: int, connected: bool) -> bool:
     """``all_degrees_even`` of the graph rho2 | rho3 induces, or
     ``is_eulerian`` when ``connected``, read off the adjacency masks:
     every vertex of rho2 | rho3 has an even number of neighbors inside
     it, and a breadth-first search kept inside rho2 | rho3 reaches all
-    of it from its least vertex. Raises, as those readings do, on a
-    vertex outside the graph and on an empty rho2 | rho3."""
-    (members,) = _masks(g, p.rho2 | p.rho3)
+    of it from its least vertex. Raises, as those readings do, on an
+    empty rho2 | rho3."""
+    members = rho2 | rho3
     if not members:
         raise ValueError(f"{'is_eulerian' if connected else 'all_degrees_even'} is undefined for the empty graph")
     adj = g.adjacency_masks
@@ -317,27 +347,29 @@ def _rho23_parity(g: Graph, p: LewisPartition, connected: bool) -> bool:
     return not connected or reached == members
 
 
-def even_cross_degrees(g: Graph, p: LewisPartition) -> bool:
-    """Every rho2 vertex has an even number of rho3 neighbors and vice
-    versa (the linking-parity condition)."""
-    rho2, rho3 = _masks(g, p.rho2, p.rho3)
+def _linking_parity(g: Graph, rho2: int, rho3: int) -> bool:
     adj = g.adjacency_masks
-    return all((adj[u] & rho3).bit_count() % 2 == 0 for u in p.rho2) and all(
-        (adj[v] & rho2).bit_count() % 2 == 0 for v in p.rho3
+    return all((adj[u] & rho3).bit_count() % 2 == 0 for u in _bits(rho2)) and all(
+        (adj[v] & rho2).bit_count() % 2 == 0 for v in _bits(rho3)
     )
 
 
+def even_cross_degrees(g: Graph, p: LewisPartition) -> bool:
+    """Every rho2 vertex has an even number of rho3 neighbors and vice
+    versa (the linking-parity condition)."""
+    return _linking_parity(g, *_masks(g, p.rho2, p.rho3))
+
+
 # Every reading of Theorem 3.2's rho2/rho3 condition, by name, in the
-# order reports list them. The last is not an Eulerian reading but the
-# linking parity, the only entry with no discrepancy in the exhaustive
-# survey. Entries look their functions up at call time, so a wrapper
-# installed on a module attribute sees every call.
-RHO23_PREDICATES: Mapping[str, Callable[[Graph, LewisPartition], bool]] = MappingProxyType(
+# order reports list them, each on the graph and the masks of rho2 and
+# rho3. The last is not an Eulerian reading but the linking parity, the
+# only entry with no discrepancy in the exhaustive survey.
+RHO23_PREDICATES: Mapping[str, Callable[[Graph, int, int], bool]] = MappingProxyType(
     {
-        EULERIAN_STANDARD: lambda g, p: _rho23_parity(g, p, connected=True),
-        EULERIAN_EVEN_ONLY: lambda g, p: _rho23_parity(g, p, connected=False),
-        EULERIAN_HAMILTONIAN: lambda g, p: _rho23_hamiltonian(g, p),
-        "even-cross-degrees": lambda g, p: even_cross_degrees(g, p),
+        EULERIAN_STANDARD: lambda g, rho2, rho3: _rho23_parity(g, rho2, rho3, connected=True),
+        EULERIAN_EVEN_ONLY: lambda g, rho2, rho3: _rho23_parity(g, rho2, rho3, connected=False),
+        EULERIAN_HAMILTONIAN: _rho23_hamiltonian,
+        "even-cross-degrees": _linking_parity,
     }
 )
 
@@ -348,8 +380,10 @@ def _refuse_unknown(mode: str) -> None:
 
 
 def rho23_predicate(g: Graph, p: LewisPartition, mode: str) -> bool:
+    """The ``RHO23_PREDICATES`` entry ``mode`` on p's rho2 and rho3.
+    Raises on an unknown name, then on a vertex outside the graph."""
     _refuse_unknown(mode)
-    return RHO23_PREDICATES[mode](g, p)
+    return RHO23_PREDICATES[mode](g, *_masks(g, p.rho2, p.rho3))
 
 
 def _unmet_hypothesis(g: Graph, p: LewisPartition) -> str | None:
@@ -366,14 +400,14 @@ def _unmet_hypothesis(g: Graph, p: LewisPartition) -> str | None:
     return None
 
 
-# The verdicts on a partition that meets the hypotheses: one that passed
-# ``_unmet_hypothesis``, or a valid one the package built. The four sets
-# are disjoint, so a union's size is the sum of the sizes.
+# The verdicts on the masks of a partition that meets the hypotheses:
+# one that passed ``_unmet_hypothesis``, or a valid one the package
+# built. The four sets are disjoint.
 
 
-def _theorem_2_5(g: Graph, p: LewisPartition) -> TheoremVerdict:
+def _theorem_2_5(g: Graph, rho: _Rho) -> TheoremVerdict:
     cuts = sorted(gr.cut_vertices(g))
-    rho2 = sorted(p.rho2)
+    rho2 = list(_bits(rho[1]))
     details = (("cut_vertices", cuts), ("rho2", rho2))
     if (len(cuts) == 1) != (len(rho2) == 1):
         return TheoremVerdict("2.5", DISCREPANCY, details)
@@ -382,19 +416,21 @@ def _theorem_2_5(g: Graph, p: LewisPartition) -> TheoremVerdict:
     return TheoremVerdict("2.5", PASS, details)
 
 
-def _theorem_2_7(g: Graph, p: LewisPartition) -> TheoremVerdict:
+def _theorem_2_7(g: Graph, rho: _Rho) -> TheoremVerdict:
     block = gr.is_block(g)
-    sizes_ok = len(p.rho2) >= 2 and len(p.rho3) >= 2
-    details = (("is_block", block), ("rho2_size", len(p.rho2)), ("rho3_size", len(p.rho3)))
+    size2, size3 = rho[1].bit_count(), rho[2].bit_count()
+    sizes_ok = size2 >= 2 and size3 >= 2
+    details = (("is_block", block), ("rho2_size", size2), ("rho3_size", size3))
     return TheoremVerdict("2.7", PASS if block == sizes_ok else DISCREPANCY, details)
 
 
-def _theorem_3_2(g: Graph, p: LewisPartition, eulerian_mode: str) -> OddDegreeVerdict:
+def _theorem_3_2(g: Graph, rho: _Rho, eulerian_mode: str) -> OddDegreeVerdict:
+    rho1, rho2, rho3, rho4 = rho
     is_all_odd = gr.all_degrees_odd(g)
     is_block = gr.is_block(g)
-    rho12_even = (len(p.rho1) + len(p.rho2)) % 2 == 0
-    rho34_even = (len(p.rho3) + len(p.rho4)) % 2 == 0
-    eulerian = RHO23_PREDICATES[eulerian_mode](g, p)
+    rho12_even = (rho1 | rho2).bit_count() % 2 == 0
+    rho34_even = (rho3 | rho4).bit_count() % 2 == 0
+    eulerian = RHO23_PREDICATES[eulerian_mode](g, rho2, rho3)
     conditions = is_block and rho12_even and rho34_even and eulerian
     return OddDegreeVerdict(
         is_all_odd=is_all_odd,
@@ -405,6 +441,17 @@ def _theorem_3_2(g: Graph, p: LewisPartition, eulerian_mode: str) -> OddDegreeVe
         eulerian_mode=eulerian_mode,
         characterization_holds=is_all_odd == conditions,
     )
+
+
+def _failed_characterizations(g: Graph) -> list[str] | None:
+    """The ``RHO23_PREDICATES`` names, in table order, under which
+    Theorem 3.2's characterization fails on the partition the package
+    builds for ``g``; None when that partition does not validate or
+    the diameter is not 3. The survey's one partition per graph."""
+    built = _build_partition(g)
+    if built is None or not built[2].valid:
+        return None
+    return [mode for mode in RHO23_PREDICATES if not _theorem_3_2(g, built[1], mode).characterization_holds]
 
 
 def check_theorem_3_2(g: Graph, p: LewisPartition, eulerian_mode: str = EULERIAN_STANDARD) -> OddDegreeVerdict:
@@ -419,7 +466,7 @@ def check_theorem_3_2(g: Graph, p: LewisPartition, eulerian_mode: str = EULERIAN
     unmet = _unmet_hypothesis(g, p)
     if unmet is not None:
         raise ValueError(unmet)
-    return _theorem_3_2(g, p, eulerian_mode)
+    return _theorem_3_2(g, _masks(g, *p[2:]), eulerian_mode)
 
 
 def check_theorem_3_3(g: Graph) -> TheoremVerdict:
@@ -452,7 +499,7 @@ def check_theorem_2_5(g: Graph, p: LewisPartition) -> TheoremVerdict:
     ``_unmet_hypothesis``, which validates ``p``)."""
     if _unmet_hypothesis(g, p) is not None:
         return TheoremVerdict("2.5", NOT_APPLICABLE)
-    return _theorem_2_5(g, p)
+    return _theorem_2_5(g, _masks(g, *p[2:]))
 
 
 def check_theorem_2_7(g: Graph, p: LewisPartition) -> TheoremVerdict:
@@ -460,7 +507,7 @@ def check_theorem_2_7(g: Graph, p: LewisPartition) -> TheoremVerdict:
     ``check_theorem_2_5``."""
     if _unmet_hypothesis(g, p) is not None:
         return TheoremVerdict("2.7", NOT_APPLICABLE)
-    return _theorem_2_7(g, p)
+    return _theorem_2_7(g, _masks(g, *p[2:]))
 
 
 def check_regular_odd(g: Graph) -> TheoremVerdict:
@@ -488,25 +535,28 @@ def partition_report(g: Graph, eulerian_mode: str = EULERIAN_STANDARD) -> dict[s
     so it skips the theorems' gate: the verdicts run when it validates,
     and 2.5 and 2.7 read ``not-applicable`` (3.2 is left out) otherwise."""
     _refuse_unknown(eulerian_mode)
-    found = _canonical_partition(g)
-    if found is None:
+    built = _build_partition(g)
+    if built is None:
         return {
             "applicable": False,
             "reason": "graph is disconnected or its diameter is not 3",
         }
-    bases, p, validity = found
+    bases, rho, validity = built
     valid = validity.valid
+    partition = {"r": bases[0], "s": _low(rho[3])}
+    for name, members in zip(("rho1", "rho2", "rho3", "rho4"), rho):
+        partition[name] = list(_bits(members))
     report: dict[str, Any] = {
         "applicable": True,
-        "partition": p.to_dict(),
+        "partition": partition,
         "validity": validity.to_dict(),
         "base_vertices": [{"r": r, "valid": valid} for r in bases],
     }
     if valid:
         report["theorems"] = {
-            "2.5": _theorem_2_5(g, p).to_dict(),
-            "2.7": _theorem_2_7(g, p).to_dict(),
-            "3.2": _theorem_3_2(g, p, eulerian_mode).to_dict(),
+            "2.5": _theorem_2_5(g, rho).to_dict(),
+            "2.7": _theorem_2_7(g, rho).to_dict(),
+            "3.2": _theorem_3_2(g, rho, eulerian_mode).to_dict(),
         }
     else:
         report["theorems"] = {

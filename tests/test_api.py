@@ -116,7 +116,7 @@ def test_cross_module_private_names_are_listed():
     # A package module that reads another module's underscore name is
     # coupled to its internals; each such reference is listed here, so a
     # new one is a visible decision. The package imports itself relatively.
-    allowed = {"graph._bits", "graph._layers", "lewis._theorem_3_2"}
+    allowed = {"graph._bits", "graph._layers", "lewis._failed_characterizations"}
     used = set()
     for path in sorted((ROOT / "src" / "cdgraph").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))

@@ -113,8 +113,9 @@ class TestLewisPartition:
 
     def test_constructed_partitions_never_have_forbidden_edges(self):
         # rho1 cannot reach rho3|rho4 and rho4 cannot reach rho1|rho2 by
-        # the distance rules, whatever the graph; only the completeness
-        # and mutual-linking flags can fail on computed partitions.
+        # the distance rules, whatever the graph, and each rho3 vertex's
+        # BFS parent is in rho2; only the completeness flags can fail on
+        # computed partitions.
         from cdgraph import enumerate_nonisomorphic
 
         for n in range(4, 7):
@@ -123,6 +124,57 @@ class TestLewisPartition:
                     assert validity.no_rho1_to_rho34_edges
                     assert validity.no_rho4_to_rho12_edges
                     assert validity.rho2_rho3_mutual_adjacency
+
+
+def vertex_sets(n, rho):
+    """A partition's four masks as the public record's vertex sets."""
+    return LewisPartition(0, 0, *(frozenset(v for v in range(n) if mask >> v & 1) for mask in rho))
+
+
+def assert_builder_facts(g):
+    """The two facts the package's builder relies on, against the BFS
+    oracle: its bases (the folded distance-3 layer) are the vertices
+    whose eccentricity is the diameter, and on the partition from any
+    base only the two clique flags can fail, so the builder's two tests
+    give the validity that all five give. Returns whether g has
+    diameter 3."""
+    edges = g.edges()
+    eccentricities = [max(oracles.distances(g.n, edges, v)) for v in range(g.n)]
+    built = lewis._build_partition(g)
+    if max(eccentricities) != 3:
+        assert built is None
+        return False
+    bases = [v for v, e in enumerate(eccentricities) if e == 3]
+    built_bases, built_rho, built_validity = built
+    assert built_bases == bases
+    for r in bases:
+        p = lewis_partition(g, r)
+        validity = validate_partition(g, p)
+        assert validity.no_rho1_to_rho34_edges, (g.edges(), r)
+        assert validity.no_rho4_to_rho12_edges, (g.edges(), r)
+        assert validity.rho2_rho3_mutual_adjacency, (g.edges(), r)
+        if r == bases[0]:
+            assert built_validity == validity
+            assert vertex_sets(g.n, built_rho)[2:] == p[2:]
+    return True
+
+
+class TestBuiltPartitionFacts:
+    def test_every_diameter3_class_up_to_8_vertices(self):
+        outcomes = set()
+        for n in range(1, 9):
+            for g in enumerate_nonisomorphic(n):
+                if assert_builder_facts(g):
+                    outcomes.add(lewis._build_partition(g)[2].valid)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_seeded_graphs(self, seed):
+        outcomes = set()
+        for g in seeded_graphs(seed, 120, 62):
+            if assert_builder_facts(g):
+                outcomes.add(lewis._build_partition(g)[2].valid)
+        assert outcomes == {True, False}
 
 
 class TestEnumeratePartitions:
@@ -691,21 +743,27 @@ def count_calls(monkeypatch, *names):
 
 
 class TestOnePassPerGraph:
+    # The package builds its partition with the private builder, which
+    # validates as it builds; the public per-base functions are the
+    # callers' and the tests' reference, and the package calls neither.
     @pytest.mark.parametrize("g", [BALANCED, cycle_graph(6)], ids=["balanced", "c6"])
     def test_report_builds_and_validates_one_partition(self, monkeypatch, g):
-        counts = count_calls(monkeypatch, "lewis_partition", "validate_partition")
+        counts = count_calls(monkeypatch, "_build_partition", "lewis_partition", "validate_partition")
         report = partition_report(g)
         assert report["applicable"] and len(report["base_vertices"]) > 1
-        assert counts == {"lewis_partition": 1, "validate_partition": 1}
+        assert counts == {"_build_partition": 1, "lewis_partition": 0, "validate_partition": 0}
 
     def test_survey_validates_once_per_diameter3_graph(self, monkeypatch):
         # The survey's partitions are built and validated once, so they
         # skip the theorems' gate.
-        counts = count_calls(monkeypatch, "validate_partition", "_unmet_hypothesis")
+        names = ("_build_partition", "lewis_partition", "validate_partition", "_unmet_hypothesis")
+        counts = count_calls(monkeypatch, *names)
         summary = verify_section_3(7)
         assert summary.diameter3_surveyed == 14
         assert counts == {
-            "validate_partition": summary.diameter3_surveyed + len(summary.diameter3_no_valid_partition),
+            "_build_partition": summary.diameter3_surveyed + len(summary.diameter3_no_valid_partition),
+            "lewis_partition": 0,
+            "validate_partition": 0,
             "_unmet_hypothesis": 0,
         }
 
@@ -717,9 +775,9 @@ class TestOnePassPerGraph:
         handed = []
         verdict = lewis._theorem_3_2
 
-        def checked(g, p, mode):
-            handed.append(validate_partition(g, p).valid)
-            return verdict(g, p, mode)
+        def checked(g, rho, mode):
+            handed.append(validate_partition(g, vertex_sets(g.n, rho)).valid)
+            return verdict(g, rho, mode)
 
         monkeypatch.setattr(lewis, "_theorem_3_2", checked)
         summary = verify_section_3(4)

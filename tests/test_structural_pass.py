@@ -10,7 +10,8 @@ and structure agree with the uncached oracles, also at 40 <= n <= 62
 where rows span several machine words and a row spilling into the next
 would show; callers may mutate what they get back; equality and
 hashing ignore the caches; once warm, connectivity, components and
-blocks read no adjacency mask; and the mask-based Lewis validation
+blocks read no adjacency mask, and connectivity and the diameter read
+the flag the pass records, with no row; and the mask-based Lewis validation
 reports exactly the flags and witnesses of the pairwise reference in
 ``oracles``.
 """
@@ -310,6 +311,35 @@ def test_warm_connectivity_is_a_cache_read(g):
     masks = g._adj = CountingMasks(g._adj)
     assert answers(g) == expected
     assert masks.reads == 0
+
+
+class TestConnectivityFromThePass:
+    """The distance pass records whether the graph is connected, and the
+    connectivity readers read that flag."""
+
+    def test_agrees_with_the_oracle_on_every_class_up_to_7_vertices(self):
+        graphs = [Graph(0), Graph(1), Graph(2)]
+        graphs += [g for n in range(1, 8) for g in enumerate_nonisomorphic(n)]
+        for g in graphs:
+            assert is_connected(g) == (len(oracles.components(g.n, g.edges())) <= 1), g.edges()
+        assert [is_connected(g) for g in graphs[:3]] == [True, True, False]
+
+    @pytest.mark.parametrize(
+        "g",
+        [cycle_graph(6), path_graph(62), disjoint_union(path_graph(3), cycle_graph(4)), Graph(1), Graph(2)],
+        ids=["C6", "P62", "P3+C4", "K1", "2K1"],
+    )
+    def test_warm_reads_take_no_row(self, monkeypatch, g):
+        # After the first fill, connectivity and the diameter read the
+        # pass's flag and its layer count, never a row.
+        gr.max_component_diameter(g)
+        calls = []
+        layers = gr._layers
+        monkeypatch.setattr(gr, "_layers", lambda *args: calls.append(args) or layers(*args))
+        cached = g._dist
+        answers = (is_connected(g), diameter(g))
+        assert answers == (len(oracles.components(g.n, g.edges())) == 1, oracles.diameter_by_bfs(g.n, g.edges()))
+        assert calls == [] and g._dist is cached
 
 
 class TestCacheIgnoredByIdentity:
