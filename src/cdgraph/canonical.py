@@ -19,16 +19,16 @@ relabeling, computed in two stages:
    vertex orders that list the color classes in canonical order and
    permute freely inside each class.
 
-A cell of pairwise twins (vertices whose neighborhoods agree apart
-from each other) never needs a search: the transpositions of twins are
-automorphisms that fix every vertex outside the cell, so every order of
-its members gives the same code, and the members ascending give it.
-When every cell is a twin class, stage 2 reads the one code off the
-cells in color order, each cell's members ascending. At n <= 8 that
-holds for 82% of the generator's candidates, discrete colorings
-included.
+Stage 2 is a depth-first branch-and-bound search that opens the cells
+in color order. A singleton cell is placed directly. A cell of pairwise
+twins (vertices whose neighborhoods agree apart from each other) needs
+no branching: the transpositions of twins are automorphisms that fix
+every vertex outside the cell, so every order of its members gives the
+same code, and the members ascending give it. When every cell is a twin
+class, the search never branches: at n <= 8 that holds for 82% of the
+generator's candidates, discrete colorings included.
 
-Otherwise stage 2 is a depth-first branch-and-bound search. It extends
+Elsewhere the search branches and bounds. It extends
 an order one position at a time, taking forced steps (one candidate with
 the minimal next row) in a loop, branching only on candidates that tie,
 and abandoning a branch as soon as its next row exceeds the best code's
@@ -163,23 +163,12 @@ def _orbits(seeds: int, generators: list[list[int]]) -> int:
     return mask
 
 
-def _twin_fill(adj: tuple[int, ...], members: list[int]) -> int:
-    # The bit each member of a cell of two or more pairwise twins has
-    # towards the others: 1 for true twins, 0 for false twins. -1 for a
-    # singleton, or for a cell with a non-twin pair.
-    if len(members) < 2:
-        return -1
-    v = members[0]
-    av = adj[v]
-    for w in members[1:]:
-        if (av ^ adj[w]) & ~(1 << v | 1 << w):
-            return -1
-    return av >> members[1] & 1
-
-
 def _min_code_rows(n: int, adj: tuple[int, ...]) -> list[int]:
     """Rows 1..n-1 of the least code: row i holds the adjacency of the
     i-th vertex of the order to the vertices before it, first one first.
+
+    The search opens the refined cells in color order and places each
+    singleton directly.
 
     A cell of pairwise twins is placed in one step, its members
     ascending: the transpositions of twins are automorphisms that fix
@@ -190,198 +179,175 @@ def _min_code_rows(n: int, adj: tuple[int, ...]) -> list[int]:
     (Twin-ness is transitive inside a cell: a vertex cannot have both a
     true twin, adjacent to it, and a false twin, not adjacent to it,
     because the false twin would be adjacent to the true twin and so to
-    the vertex.) If every cell is a twin class, every allowed order has
-    one code, read off the cells in color order without a search: each
-    cell's members ascending, the first member's row read against the
-    prefix, each later member's the row before it with one more bit.
-    Otherwise the search decides each cell's kind when it first reaches
-    the cell. The rows a twin cell places are compared with the best
-    code's like any others: under the stable coloring they are the same
-    in every branch, but the comparison keeps the search exact for any
-    coloring.
+    the vertex.) If every cell is a twin class, the search takes one
+    frame and never branches. The rows a twin cell places are compared
+    with the best code's like any others: under the stable coloring they
+    are the same in every branch, but the comparison keeps the search
+    exact for any coloring.
     """
-    cells = refined_colors(n, adj)
-    # Read the code off the cells up to the first one that is not a twin
-    # class. A member that follows its twin has the twin's row and one
-    # more bit.
-    order: list[int] = []
-    rows: list[int] = []
-    for index, cell in enumerate(cells):
-        low = cell & -cell
-        first = low.bit_length() - 1
-        a = adj[first]
-        row = 0
-        for u in order:
-            row = row << 1 | (a >> u & 1)
-        if cell == low:
-            order.append(first)
-            rows.append(row)
-            continue
-        members = [first]
-        rest = cell ^ low
-        while rest:
-            low = rest & -rest
-            rest ^= low
+    best_rows: list[int] = []
+    _search(n, adj, refined_colors(n, adj), best_rows, [], [], [], [], False, [], 0)
+    return best_rows[1:]
+
+
+def _search(
+    n: int,
+    adj: tuple[int, ...],
+    cells: list[int],
+    best_rows: list[int],
+    best_order: list[int],
+    generators: list[list[int]],
+    order: list[int],
+    rows: list[int],
+    tight: bool,
+    pending: list[tuple[int, int]],
+    k: int,
+) -> int:
+    # Extend ``order`` depth-first and return the position to backtrack
+    # to: n, or the position where an automorphism just found maps an
+    # explored branch onto the current one. ``tight`` says that the code
+    # so far equals the best code's prefix. ``pending`` holds (row, v)
+    # for the unused members of the cell being filled, in cell order,
+    # each row against the whole of ``order``; it is empty at a cell's
+    # first position, where ``cells[k]`` is the cell to open. The best
+    # code, its order and the automorphisms found are written into
+    # ``best_rows``, ``best_order`` and ``generators``.
+    pos = len(order)
+    while pos < n:
+        if not pending:
+            cell = cells[k]
+            k += 1
+            low = cell & -cell
             v = low.bit_length() - 1
-            if (a ^ adj[v]) & ~(1 << first | low):
-                break
-            members.append(v)
-        else:
-            fill = a >> members[1] & 1
-            for v in members:
+            av = adj[v]
+            row = 0
+            for u in order:
+                row = row << 1 | (av >> u & 1)
+            rest = cell ^ low
+            if not rest:
+                # A singleton: placed directly.
+                if tight:
+                    if row > best_rows[pos]:
+                        return n
+                    tight = row == best_rows[pos]
                 order.append(v)
                 rows.append(row)
-                row = row << 1 | fill
-            continue
-        break
-    else:
-        return rows[1:]
-    # The members of each cell the walk did not place, at each of their
-    # positions, and the fill of each cell's first position once the
-    # search has reached it. The search never reads the placed prefix's.
-    position_members: list[list[int]] = [[]] * len(order)
-    for cell in cells[index:]:
-        members = []
-        while cell:
-            low = cell & -cell
-            cell ^= low
-            members.append(low.bit_length() - 1)
-        position_members += [members] * len(members)
-    fills: dict[int, int] = {}
-
-    best_rows: list[int] = []
-    best_order: list[int] = []
-    generators: list[list[int]] = []
-
-    def search(order: list[int], rows: list[int], tight: bool, pending: list[tuple[int, int]]) -> int:
-        # Extend ``order`` depth-first and return the position to
-        # backtrack to: n, or the position where an automorphism just
-        # found maps an explored branch onto the current one. ``tight``
-        # says that the code so far equals the best code's prefix.
-        # ``pending`` holds (row, v) for the unused members of the cell
-        # being filled, in cell order, each row against the whole of
-        # ``order``; it is empty at a cell's first position.
-        pos = len(order)
-        while pos < n:
-            if not pending:
-                members = position_members[pos]
-                fill = fills.get(pos)
-                if fill is None:
-                    fill = fills[pos] = _twin_fill(adj, members)
-                v = members[0]
+                pos += 1
+                continue
+            others = rest
+            while others:
+                w = others & -others
+                if (av ^ adj[w.bit_length() - 1]) & ~(low | w):
+                    break
+                others ^= w
+            if not others:
+                # A twin cell: place it in one step. Each member after
+                # the first has its predecessor's row and one more bit,
+                # 1 for true twins and 0 for false ones.
+                fill = 1 if av & rest else 0
+                while cell:
+                    low = cell & -cell
+                    cell ^= low
+                    if tight:
+                        if row > best_rows[pos]:
+                            return n
+                        tight = row == best_rows[pos]
+                    order.append(low.bit_length() - 1)
+                    rows.append(row)
+                    row = row << 1 | fill
+                    pos += 1
+                continue
+            pending = [(row, v)]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
                 av = adj[v]
                 row = 0
                 for u in order:
                     row = row << 1 | (av >> u & 1)
-                if fill >= 0:
-                    # A twin cell: place it in one step.
-                    for v in members:
-                        if tight:
-                            if row > best_rows[pos]:
-                                return n
-                            tight = row == best_rows[pos]
-                        order.append(v)
-                        rows.append(row)
-                        row = row << 1 | fill
-                        pos += 1
-                    continue
                 pending.append((row, v))
-                for v in members[1:]:
-                    av = adj[v]
-                    row = 0
-                    for u in order:
-                        row = row << 1 | (av >> u & 1)
-                    pending.append((row, v))
-            least = -1
-            tied: list[int] = []
-            for row, v in pending:
-                if least < 0 or row < least:
-                    least = row
-                    tied = [v]
-                elif row == least:
-                    tied.append(v)
-            if tight:
-                if least > best_rows[pos]:
-                    return n
-                tight = least == best_rows[pos]
-            if len(tied) > 1:
-                break
-            x = tied[0]
-            order.append(x)
-            rows.append(least)
-            # Each row gains one bit, read off the symmetric adj[x].
-            near = adj[x]
-            extended: list[tuple[int, int]] = []
-            for row, v in pending:
-                if v != x:
-                    extended.append((row << 1 | (near >> v & 1), v))
-            pending = extended
-            pos += 1
-        else:
-            if not tight:
-                best_rows[:] = rows
-                best_order[:] = order
+        least = -1
+        tied: list[int] = []
+        for row, v in pending:
+            if least < 0 or row < least:
+                least = row
+                tied = [v]
+            elif row == least:
+                tied.append(v)
+        if tight:
+            if least > best_rows[pos]:
                 return n
-            # Equal codes: best_order[i] -> order[i] is an automorphism.
-            # It maps the explored branch at the first position where the
-            # orders differ onto the current one, so search resumes there.
-            perm = list(range(n))
-            for b, v in zip(best_order, order):
-                perm[b] = v
-            generators.append(perm)
-            level = 0
-            while best_order[level] == order[level]:
-                level += 1
-            return level
-
+            tight = least == best_rows[pos]
+        if len(tied) > 1:
+            break
+        x = tied[0]
+        order.append(x)
         rows.append(least)
-        # Skip candidates in the orbit of an explored one, under the
-        # stored automorphisms that fix ``order`` and under the swaps of
-        # twins.
-        skip = 0
-        fixing: list[list[int]] = []
-        seen = 0
-        for v in tied:
-            if seen < len(generators):
-                for p in generators[seen:]:
-                    for u in order:
-                        if p[u] != u:
-                            break
-                    else:
-                        fixing.append(p)
-                seen = len(generators)
-                skip = _orbits(skip, fixing)
-            if skip >> v & 1:
-                continue
-            av = adj[v]
-            for w in tied:
-                # Marks v and its twins: swapping v and w is an
-                # automorphism iff their adjacencies agree off {v, w}.
-                if (av ^ adj[w]) & ~(1 << v | 1 << w) == 0:
-                    skip |= 1 << w
-            if fixing:
-                skip = _orbits(skip, fixing)
-            order.append(v)
-            child: list[tuple[int, int]] = []
-            for row, w in pending:
-                if w != v:
-                    child.append((row << 1 | (av >> w & 1), w))
-            level = search(order, rows, tight, child)
-            del order[pos:]
-            del rows[pos + 1 :]
-            if level < pos:
-                return level
-            # The best code now shares the prefix through this position.
-            tight = True
-        return n
+        # Each row gains one bit, read off the symmetric adj[x].
+        near = adj[x]
+        extended: list[tuple[int, int]] = []
+        for row, v in pending:
+            if v != x:
+                extended.append((row << 1 | (near >> v & 1), v))
+        pending = extended
+        pos += 1
+    else:
+        if not tight:
+            best_rows[:] = rows
+            best_order[:] = order
+            return n
+        # Equal codes: best_order[i] -> order[i] is an automorphism. It
+        # maps the explored branch at the first position where the
+        # orders differ onto the current one, so search resumes there.
+        perm = list(range(n))
+        for b, v in zip(best_order, order):
+            perm[b] = v
+        generators.append(perm)
+        level = 0
+        while best_order[level] == order[level]:
+            level += 1
+        return level
 
-    # The cells the walk placed have no ties, so every order starts with
-    # the prefix read above.
-    search(order, rows, False, [])
-    # ``search`` refers to itself; deleting it frees the closure at once
-    # instead of leaving a cycle to the garbage collector.
-    del search
-    return best_rows[1:]
+    rows.append(least)
+    # Skip candidates in the orbit of an explored one, under the stored
+    # automorphisms that fix ``order`` and under the swaps of twins.
+    skip = 0
+    fixing: list[list[int]] = []
+    seen = 0
+    for v in tied:
+        if seen < len(generators):
+            for p in generators[seen:]:
+                for u in order:
+                    if p[u] != u:
+                        break
+                else:
+                    fixing.append(p)
+            seen = len(generators)
+            skip = _orbits(skip, fixing)
+        if skip >> v & 1:
+            continue
+        av = adj[v]
+        for w in tied:
+            # Marks v and its twins: swapping v and w is an automorphism
+            # iff their adjacencies agree off {v, w}.
+            if (av ^ adj[w]) & ~(1 << v | 1 << w) == 0:
+                skip |= 1 << w
+        if fixing:
+            skip = _orbits(skip, fixing)
+        order.append(v)
+        child: list[tuple[int, int]] = []
+        for row, w in pending:
+            if w != v:
+                child.append((row << 1 | (av >> w & 1), w))
+        level = _search(n, adj, cells, best_rows, best_order, generators, order, rows, tight, child, k)
+        del order[pos:]
+        del rows[pos + 1 :]
+        if level < pos:
+            return level
+        # The best code now shares the prefix through this position.
+        tight = True
+    return n
 
 
 def canonical_form(g: Graph) -> bytes:

@@ -309,7 +309,7 @@ def _rho23_hamiltonian(g: Graph, rho2: int, rho3: int) -> bool:
     side, when rho2 or rho3 is not a clique."""
     adj = g.adjacency_masks
     for name, side in (("rho2", rho2), ("rho3", rho3)):
-        if any(side & ~adj[v] & ~(1 << v) for v in _bits(side)):
+        if _missing_edge(adj, side) is not None:
             raise ValueError(f"the hamiltonian reading needs {name} to be a clique")
     rho3 &= ~rho2
     if not rho2 or not rho3:

@@ -1,6 +1,6 @@
+import gc
 import hashlib
 import random
-import sys
 import time
 from itertools import combinations, permutations, product
 
@@ -161,9 +161,9 @@ def named_symmetric() -> dict[str, Graph]:
     carried over long runs of one cell and into many ties. Twins also
     fill the cells of the other family members (true twins) and of the
     complete multipartite graphs (false twins); the star and K1,2,3,4
-    refine to twin classes only, so they skip the search, while in the
-    others a cell holds more than one twin class, or twins and
-    non-twins. The graphs of ``twin_cells_after_search`` put twin cells
+    refine to twin classes only, so the search never branches on them,
+    while in the others a cell holds more than one twin class, or twins
+    and non-twins. The graphs of ``twin_cells_after_search`` put twin cells
     after a cell the search branches on."""
     named = {f"C{m}": cycle_graph(m) for m in range(10, 14)}
     named.update(
@@ -400,7 +400,7 @@ class TestByteIdentity:
 
     def test_refined_colors_match_reference_on_n7_candidates(self):
         # 7,466 of the 9,984 candidates refine to a discrete coloring or
-        # to twin classes only, and so skip the search.
+        # to twin classes only, on which the search never branches.
         for g in n7_candidates():
             edges = g.edges()
             expected = oracles.refined_cells_by_sorted_neighbors(7, edges)
@@ -527,23 +527,29 @@ def min_rows_over_cell_orders(n: int, adj: tuple[int, ...], cells: list[int]) ->
     return best
 
 
-def search_frames(g: Graph) -> int:
-    """The number of ``search`` frames one ``canonical_form(g)`` runs."""
+def search_frames(monkeypatch, g: Graph) -> int:
+    """The number of ``_search`` frames one ``canonical_form(g)`` runs,
+    counted by wrapping the module global through which the search
+    recurses."""
     frames = 0
+    search = canonical._search
 
-    def profile(frame, event, arg):
+    def counting(*args):
         nonlocal frames
-        code = frame.f_code
-        if event == "call" and code.co_name == "search" and code.co_filename == canonical.__file__:
-            frames += 1
+        frames += 1
+        return search(*args)
 
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
+    with monkeypatch.context() as patch:
+        patch.setattr(canonical, "_search", counting)
         canonical_form(g)
-    finally:
-        sys.setprofile(previous)
     return frames
+
+
+def is_twin_class(adj: tuple[int, ...], cell: int) -> bool:
+    """Whether every two members of ``cell`` have the same neighbors
+    apart from each other."""
+    members = [v for v in range(len(adj)) if cell >> v & 1]
+    return all((adj[u] ^ adj[w]) & ~(1 << u | 1 << w) == 0 for u, w in combinations(members, 2))
 
 
 class TestTwinCells:
@@ -568,11 +574,39 @@ class TestTwinCells:
             expected = min_rows_over_cell_orders(g.n, adj, degree_cells(g.n, adj))
             assert _min_code_rows(g.n, adj) == expected
 
-    def test_odd_family_search_frames_do_not_grow_with_n(self):
+    def test_odd_family_search_frames_do_not_grow_with_n(self, monkeypatch):
         # After refinement odd_family(n) is the seed's cells, some of
         # which the search branches on, and one cell of n - 6 true twins,
         # which it places in one step: the frame count is the same at
         # every n, where placing the twins one position at a time made a
         # tie, and a frame, at each of them.
-        frames = {n: search_frames(odd_family(n)) for n in range(10, 63, 2)}
-        assert len(set(frames.values())) == 1, frames
+        frames = {n: search_frames(monkeypatch, odd_family(n)) for n in range(10, 63, 2)}
+        assert frames == {n: 5 for n in range(10, 63, 2)}
+
+    def test_all_twin_colorings_never_branch(self, monkeypatch):
+        # When every cell is a twin class (singletons included) the one
+        # search frame places every cell and never reaches a tie.
+        all_twins = 0
+        for g in n7_candidates():
+            adj = g.adjacency_masks
+            cells = oracles.refined_cells_by_sorted_neighbors(7, g.edges())
+            if all(is_twin_class(adj, cell) for cell in cells):
+                all_twins += 1
+                assert search_frames(monkeypatch, g) == 1
+        assert all_twins == 7466
+        k34 = Graph(7, [(u, v) for u in range(3) for v in range(3, 7)])
+        star = Graph(6, [(0, v) for v in range(1, 6)])
+        for g in (complete_graph(9), k34, star):
+            assert search_frames(monkeypatch, g) == 1
+
+    def test_canonical_form_creates_no_reference_cycles(self):
+        inputs = [g for n in range(1, 7) for g in enumerate_nonisomorphic(n)]
+        inputs.append(cycle_graph(16))
+        gc.collect()
+        gc.disable()
+        try:
+            for g in inputs:
+                canonical_form(g)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
