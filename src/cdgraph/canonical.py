@@ -355,10 +355,6 @@ def canonical_form(g: Graph) -> bytes:
     n = g.n
     if n > GRAPH6_MAX_N:
         raise ValueError(f"canonical form supports n <= {GRAPH6_MAX_N}")
-    if n == 0:
-        return b"?"
-    if n == 1:
-        return b"@"
     return graph6_bytes_from_rows(n, _min_code_rows(n, g.adjacency_masks))
 
 

@@ -38,33 +38,6 @@ from .graph import Graph
 _MAX_INPUT_CHARS = 1 << 20
 
 
-def _add_input_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "input",
-        nargs="?",
-        help="input file path, or '-' for standard input (default: standard input)",
-    )
-    parser.add_argument("--g6", metavar="STRING", help="inline graph6 string")
-    parser.add_argument(
-        "--format",
-        choices=("auto", "graph6", "g6", "edgelist"),
-        default="auto",
-        help="input format (auto: edge list when the first line is an integer)",
-    )
-
-
-def _add_eulerian_option(parser: argparse.ArgumentParser) -> None:
-    # The two parity readings of "Eulerian" among lewis.RHO23_PREDICATES:
-    # the cycle reading ("hamiltonian") and the linking parity are
-    # library-only.
-    parser.add_argument(
-        "--eulerian",
-        choices=(lewis.EULERIAN_STANDARD, lewis.EULERIAN_EVEN_ONLY),
-        default=lewis.EULERIAN_STANDARD,
-        help="Eulerian predicate used by the odd-degree characterization",
-    )
-
-
 def _read_graph(args: argparse.Namespace) -> Graph:
     if args.g6 is not None:
         if args.input is not None:
@@ -183,17 +156,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    check = sub.add_parser("check", help="run the necessary-condition battery")
-    _add_input_options(check)
-    _add_eulerian_option(check)
-    check.add_argument("--output", choices=("text", "json"), default="text")
-    check.set_defaults(func=_cmd_check)
-
-    lw = sub.add_parser("lewis", help="diameter-3 partition analysis")
-    _add_input_options(lw)
-    _add_eulerian_option(lw)
-    lw.add_argument("--output", choices=("text", "json"), default="text")
-    lw.set_defaults(func=_cmd_lewis)
+    for name, func, summary in (
+        ("check", _cmd_check, "run the necessary-condition battery"),
+        ("lewis", _cmd_lewis, "diameter-3 partition analysis"),
+    ):
+        cmd = sub.add_parser(name, help=summary)
+        cmd.add_argument(
+            "input",
+            nargs="?",
+            help="input file path, or '-' for standard input (default: standard input)",
+        )
+        cmd.add_argument("--g6", metavar="STRING", help="inline graph6 string")
+        cmd.add_argument(
+            "--format",
+            choices=("auto", "graph6", "g6", "edgelist"),
+            default="auto",
+            help="input format (auto: edge list when the first line is an integer)",
+        )
+        # The two parity readings of "Eulerian" among lewis.RHO23_PREDICATES:
+        # the cycle reading ("hamiltonian") and the linking parity are
+        # library-only.
+        cmd.add_argument(
+            "--eulerian",
+            choices=(lewis.EULERIAN_STANDARD, lewis.EULERIAN_EVEN_ONLY),
+            default=lewis.EULERIAN_STANDARD,
+            help="Eulerian predicate used by the odd-degree characterization",
+        )
+        cmd.add_argument("--output", choices=("text", "json"), default="text")
+        cmd.set_defaults(func=func)
 
     construct = sub.add_parser("construct", help="emit a constructed graph")
     csub = construct.add_subparsers(dest="kind", required=True)

@@ -340,7 +340,9 @@ def _decompose(n: int, adj: tuple[int, ...]) -> BlockDecomposition:
         timer += 1
         root_children = 0
         path = [root]  # the DFS stack: root down to the current vertex
-        pending: list[int] = []  # discovered vertices not yet in a block
+        # Discovered vertices not yet in a block, each once and in order of
+        # discovery: the block a child v closes is u and the tail from v.
+        pending: list[int] = []
         while path:
             v = path[-1]
             fresh = adj[v] & ~discovered
@@ -369,13 +371,9 @@ def _decompose(n: int, adj: tuple[int, ...]) -> BlockDecomposition:
             if low[v] >= disc[u]:
                 if u != root:
                     cuts.add(u)
-                members = {u}
-                while True:
-                    x = pending.pop()
-                    members.add(x)
-                    if x == v:
-                        break
-                blocks.append(frozenset(members))
+                i = pending.index(v)
+                blocks.append(frozenset((u, *pending[i:])))
+                del pending[i:]
         if root_children >= 2:
             cuts.add(root)
 

@@ -52,6 +52,70 @@ def cut_vertices_by_removal(n: int, edges) -> set[int]:
     return cuts
 
 
+def _reach(adj: dict[int, set[int]], start: int, allowed: set[int]) -> set[int]:
+    """The vertices of ``allowed`` that ``start`` reaches inside it."""
+    seen = {start}
+    queue = [start]
+    while queue:
+        v = queue.pop()
+        for w in adj[v]:
+            if w in allowed and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+def blocks_by_definition(n: int, edges) -> list[set[int]]:
+    """The maximal vertex sets that induce a connected graph with no cut
+    vertex, plus each isolated vertex alone.
+
+    Up to 8 vertices every vertex set is tested, largest first, skipping
+    those inside a block already found. A single vertex qualifies, so an
+    isolated vertex comes out alone and no other vertex does. Above 8
+    vertices the blocks come from ``blocks_by_separation``.
+    """
+    if n > 8:
+        return blocks_by_separation(n, edges)
+    adj = adjacency(n, edges)
+
+    def connected(s: set[int]) -> bool:
+        return not s or _reach(adj, min(s), s) == s
+
+    blocks: list[set[int]] = []
+    for size in range(n, 0, -1):
+        for subset in combinations(range(n), size):
+            s = set(subset)
+            if any(s <= b for b in blocks):
+                continue
+            if connected(s) and all(connected(s - {v}) for v in s):
+                blocks.append(s)
+    return blocks
+
+
+def blocks_by_separation(n: int, edges) -> list[set[int]]:
+    """Blocks by the rule that two edges share a block iff no single
+    vertex removal separates them: for every vertex x, they lie in one
+    component of the graph less x, where an edge at x stands for its
+    other end. Each block is the ends of one class of edges; each
+    isolated vertex is a block alone."""
+    adj = adjacency(n, edges)
+    ends = sorted(normalize(edges))
+    signature: dict[tuple[int, int], list[int]] = {e: [] for e in ends}
+    for x in range(n):
+        rest = set(range(n)) - {x}
+        label: dict[int, int] = {}
+        for v in sorted(rest):
+            if v not in label:
+                for w in _reach(adj, v, rest):
+                    label[w] = v
+        for a, b in ends:
+            signature[(a, b)].append(label[b if a == x else a])
+    classes: dict[tuple[int, ...], set[int]] = {}
+    for e in ends:
+        classes.setdefault(tuple(signature[e]), set()).update(e)
+    return list(classes.values()) + [{v} for v in range(n) if not adj[v]]
+
+
 def distances(n: int, edges, source: int) -> list[float]:
     adj = adjacency(n, edges)
     dist = [float("inf")] * n

@@ -67,7 +67,8 @@ def test_benchmark_traced_names_resolve(tracer):
 def test_canonical_form_refines_once_per_graph(monkeypatch):
     # A traced run splits each canonical_form call into refined_colors
     # (canonical.refine_s) and the rest (canonical.search_s), which holds
-    # only while every call with n >= 2 refines exactly once.
+    # only while every call refines exactly once, at every n, 0 and 1
+    # included.
     sizes = []
     refine = canonical.refined_colors
 
@@ -81,7 +82,7 @@ def test_canonical_form_refines_once_per_graph(monkeypatch):
     monkeypatch.setattr(canonical, "refined_colors", counting)
     for g in inputs:
         canonical_form(g)
-    assert sizes == [g.n for g in inputs if g.n >= 2]
+    assert sizes == [g.n for g in inputs]
 
 
 def test_package_imports_only_the_standard_library():

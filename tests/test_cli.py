@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -260,6 +261,25 @@ class TestLewis:
             "  theorem 2.7: not-applicable\n"
             "  theorem 3.3: vacuous-pass\n"
         )
+
+
+def test_check_and_lewis_take_the_same_options():
+    # One loop declares both subcommands; this fails if they drift apart
+    # in an option, its choices or its default.
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+
+    def options(name):
+        return {
+            a.dest: (a.option_strings, a.nargs, a.choices, a.default, a.help)
+            for a in commands.choices[name]._actions
+        }
+
+    assert sorted(options("check")) == ["eulerian", "format", "g6", "help", "input", "output"]
+    assert options("check") == options("lewis")
+    assert options("check")["eulerian"][2:4] == (("standard", "even-only"), "standard")
+    assert commands.choices["check"].get_default("func") is cli._cmd_check
+    assert commands.choices["lewis"].get_default("func") is cli._cmd_lewis
 
 
 class TestConstructAndFamily:

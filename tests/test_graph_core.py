@@ -14,6 +14,7 @@ from cdgraph import (
     cut_vertices,
     degree_multiset,
     diameter,
+    enumerate_nonisomorphic,
     figure2_graph,
     induced_subgraph,
     is_block,
@@ -180,6 +181,16 @@ class TestBlocks:
     def test_isolated_vertices_are_singleton_blocks(self):
         decomp = block_decomposition(Graph(2))
         assert sorted(sorted(b) for b in decomp.blocks) == [[0], [1]]
+
+    def test_blocks_match_definition_on_every_class_to_n7(self):
+        # Above 8 vertices the oracle applies the edge-separation rule,
+        # so that rule is checked against the definition here too.
+        for n in range(1, 8):
+            for g in enumerate_nonisomorphic(n):
+                edges = g.edges()
+                expected = sorted(sorted(b) for b in oracles.blocks_by_definition(n, edges))
+                assert [sorted(b) for b in block_decomposition(g).blocks] == expected
+                assert sorted(sorted(b) for b in oracles.blocks_by_separation(n, edges)) == expected
 
     def test_is_block_examples(self):
         assert is_block(figure2_graph())

@@ -222,6 +222,8 @@ def assert_structure_matches_oracles(g: Graph) -> None:
     assert diameter(g) == oracles.diameter_by_bfs(g.n, edges)
     assert set(cut_vertices(g)) == cuts
     assert is_block(g) == (connected and not cuts)
+    blocks = sorted(sorted(b) for b in oracles.blocks_by_definition(g.n, edges))
+    assert [sorted(b) for b in block_decomposition(g).blocks] == blocks
     far_pair = None
     eccentricities = []
     for v in range(g.n):
