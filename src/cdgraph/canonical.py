@@ -19,14 +19,23 @@ relabeling, computed in two stages:
    vertex orders that list the color classes in canonical order and
    permute freely inside each class.
 
-Stage 2 is a depth-first branch-and-bound search that opens the cells
-in color order. A singleton cell is placed directly. A cell of pairwise
-twins (vertices whose neighborhoods agree apart from each other) needs
-no branching: the transpositions of twins are automorphisms that fix
-every vertex outside the cell, so every order of its members gives the
-same code, and the members ascending give it. When every cell is a twin
-class, the search never branches: at n <= 8 that holds for 82% of the
-generator's candidates, discrete colorings included.
+A discrete coloring, every vertex alone in its cell, allows one order,
+its cells in color order, and stage 2 reads that order's code without
+a search, off lanes: lane v of one n*n-bit int holds v's adjacency to
+the vertices placed so far, the first placed most significant, and is
+v's code row when v is placed. Placing a vertex shifts every lane up
+one bit and brings in the vertex's column of the adjacency matrix, two
+big-int operations per vertex. At n <= 8, 36% of the generator's
+candidates refine to a discrete coloring.
+
+Every other coloring goes through a depth-first branch-and-bound search
+that opens the cells in color order. A singleton cell is placed
+directly. A cell of pairwise twins (vertices whose neighborhoods agree
+apart from each other) needs no branching: the transpositions of twins
+are automorphisms that fix every vertex outside the cell, so every
+order of its members gives the same code, and the members ascending
+give it. When every cell is a twin class, the search never branches: at
+n <= 8 that holds for another 46% of the generator's candidates.
 
 Elsewhere the search branches and bounds. It extends
 an order one position at a time, taking forced steps (one candidate with
@@ -167,8 +176,18 @@ def _min_code_rows(n: int, adj: tuple[int, ...]) -> list[int]:
     """Rows 1..n-1 of the least code: row i holds the adjacency of the
     i-th vertex of the order to the vertices before it, first one first.
 
-    The search opens the refined cells in color order and places each
-    singleton directly.
+    A discrete coloring, every vertex alone in its cell, allows one
+    order, its cells in color order, and takes no search. Its rows are
+    read off lanes: lane v of one n*n-bit int (bits v*n .. v*n+n-1)
+    holds v's adjacency to the vertices placed so far, the first placed
+    most significant, so v's row is its lane when v is placed. Placing x
+    shifts every lane up one bit and brings in column x of the adjacency
+    matrix (row s is ``adj[s]``), whose bits go one to a lane by the
+    carry-free idiom of ``graph._distance_layers``; a lane holds at most
+    n bits, so no shift reaches the next lane.
+
+    Any other coloring goes to the search, which opens the refined cells
+    in color order and places each singleton directly.
 
     A cell of pairwise twins is placed in one step, its members
     ascending: the transpositions of twins are automorphisms that fix
@@ -185,9 +204,21 @@ def _min_code_rows(n: int, adj: tuple[int, ...]) -> list[int]:
     are the same in every branch, but the comparison keeps the search
     exact for any coloring.
     """
-    best_rows: list[int] = []
-    _search(n, adj, refined_colors(n, adj), best_rows, [], [], [], [], False, [], 0)
-    return best_rows[1:]
+    cells = refined_colors(n, adj)
+    if len(cells) < n:
+        best_rows: list[int] = []
+        _search(n, adj, cells, best_rows, [], [], [], [], False, [], 0)
+        return best_rows[1:]
+    full = (1 << n) - 1
+    column = ((1 << n * n) - 1) // full if n else 0  # bit 0 of every row
+    matrix = sum(mask << s * n for s, mask in enumerate(adj))
+    lanes = 0
+    rows = []
+    for cell in cells:
+        x = cell.bit_length() - 1
+        rows.append(lanes >> x * n & full)
+        lanes = lanes << 1 | (matrix >> x & column)
+    return rows[1:]
 
 
 def _search(

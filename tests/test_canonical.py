@@ -201,6 +201,34 @@ def large_symmetric() -> list[Graph]:
     return large + [petersen(), paley(13), paley(17)]
 
 
+def co_triangle_free(rng: random.Random, n: int) -> Graph:
+    """Complement of a random triangle-free graph: each pair, in random
+    order, is an edge of the triangle-free graph with probability 1/2
+    unless it closes a triangle there."""
+    adj = [0] * n
+    pairs = list(combinations(range(n), 2))
+    rng.shuffle(pairs)
+    for u, v in pairs:
+        if not adj[u] & adj[v] and rng.random() < 0.5:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return Graph(n, [(u, v) for u, v in pairs if not adj[u] >> v & 1])
+
+
+def discrete_graphs() -> list[Graph]:
+    """For each n = 13..62, the first ``co_triangle_free`` graph drawn
+    from ``random.Random(n)`` whose stable coloring, by the reference
+    refinement, puts every vertex alone in its cell."""
+    found = []
+    for n in range(13, 63):
+        rng = random.Random(n)
+        g = co_triangle_free(rng, n)
+        while len(oracles.refined_cells_by_sorted_neighbors(n, g.edges())) < n:
+            g = co_triangle_free(rng, n)
+        found.append(g)
+    return found
+
+
 class TestIsomorphism:
     def test_p4_relabelings(self):
         a = path_graph(4)
@@ -221,6 +249,9 @@ class TestIsomorphism:
     def test_small_cases(self):
         assert canonical_form(Graph(0)) == b"?"
         assert canonical_form(Graph(1)) == b"@"
+        # Both colorings are discrete: no rows, and no lane to read.
+        assert _min_code_rows(0, ()) == []
+        assert _min_code_rows(1, (0,)) == []
 
     def test_too_large(self):
         with pytest.raises(ValueError):
@@ -399,8 +430,9 @@ class TestByteIdentity:
         assert refined_colors(g.n, g.adjacency_masks) == expected
 
     def test_refined_colors_match_reference_on_n7_candidates(self):
-        # 7,466 of the 9,984 candidates refine to a discrete coloring or
-        # to twin classes only, on which the search never branches.
+        # 2,216 of the 9,984 candidates refine to a discrete coloring,
+        # read without a search, and 5,250 more to twin classes only, on
+        # which the search never branches.
         for g in n7_candidates():
             edges = g.edges()
             expected = oracles.refined_cells_by_sorted_neighbors(7, edges)
@@ -499,6 +531,30 @@ class TestByteIdentity:
             h = permuted(g, perm)
             assert _min_code_rows(n, h.adjacency_masks) == expected
 
+    def test_discrete_rows_match_frontier_reference(self):
+        # A discrete coloring's rows are read off lanes, not searched:
+        # checked here past search_inputs' n <= 12, up to the graph6
+        # limit, where large joins never reach that path.
+        for g in discrete_graphs():
+            expected = oracles.min_code_rows_by_frontier(g.n, g.edges())
+            assert _min_code_rows(g.n, g.adjacency_masks) == expected
+
+    def test_discrete_forms_digest(self):
+        # Each form is the same under three relabelings; sha256 of the
+        # forms in order, joined by newlines, as computed when discrete
+        # colorings still went through the search.
+        rng = random.Random("discrete")
+        forms = []
+        for g in discrete_graphs():
+            form = canonical_form(g)
+            for _ in range(3):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                assert canonical_form(permuted(g, perm)) == form
+            forms.append(form)
+        digest = hashlib.sha256(b"\n".join(forms)).hexdigest()
+        assert digest == "e3f414ce1ef6a4913944011d1e35e9b070f85c35f429c3a3217f9ece73e0d09b"
+
 
 def degree_cells(n: int, adj: tuple[int, ...]) -> list[int]:
     """The degree classes as vertex masks, by increasing degree:
@@ -585,15 +641,17 @@ class TestTwinCells:
 
     def test_all_twin_colorings_never_branch(self, monkeypatch):
         # When every cell is a twin class (singletons included) the one
-        # search frame places every cell and never reaches a tie.
-        all_twins = 0
+        # search frame places every cell and never reaches a tie. A
+        # discrete coloring takes no frame: its rows are read directly.
+        frames = {True: 0, False: 0}
         for g in n7_candidates():
             adj = g.adjacency_masks
             cells = oracles.refined_cells_by_sorted_neighbors(7, g.edges())
             if all(is_twin_class(adj, cell) for cell in cells):
-                all_twins += 1
-                assert search_frames(monkeypatch, g) == 1
-        assert all_twins == 7466
+                discrete = len(cells) == 7
+                assert search_frames(monkeypatch, g) == (0 if discrete else 1)
+                frames[discrete] += 1
+        assert frames == {True: 2216, False: 5250}
         k34 = Graph(7, [(u, v) for u in range(3) for v in range(3, 7)])
         star = Graph(6, [(0, v) for v in range(1, 6)])
         for g in (complete_graph(9), k34, star):

@@ -1,5 +1,6 @@
 import json
-from itertools import permutations
+import random
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -328,6 +329,28 @@ class TestFittingInference:
         with_pair = Graph(62, [e for e in pairs if e not in matching | {(0, 2)}])
         assert infer_fitting_height(without) is None
         assert infer_fitting_height(with_pair).witness == (0, 2)
+
+    def test_witness_matches_pairwise_definition_on_every_class_to_n7(self):
+        for n in range(1, 8):
+            for g in enumerate_nonisomorphic(n):
+                expected = oracles.first_low_degree_non_edge(g.n, g.edges())
+                inference = infer_fitting_height(g)
+                assert (None if inference is None else inference.witness) == expected
+
+    def test_witness_matches_pairwise_definition_on_dense_graphs(self):
+        # Dense enough that some graphs have no pair and the others have
+        # few, so the least pair is rarely the first one tried.
+        rng = random.Random("fitting-height")
+        found = {True: 0, False: 0}
+        for n in range(10, 63):
+            for _ in range(4):
+                p = rng.uniform(0.9, 1.0)
+                g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+                expected = oracles.first_low_degree_non_edge(g.n, g.edges())
+                inference = infer_fitting_height(g)
+                assert (None if inference is None else inference.witness) == expected
+                found[expected is None] += 1
+        assert min(found.values()) >= 40
 
 
 class TestBattery:
