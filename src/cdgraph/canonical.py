@@ -59,9 +59,31 @@ generators that fix the current prefix pointwise, and under the
 transpositions of twins, which prune before any automorphism is known.
 Every pruning step maps skipped orders onto explored ones with the same
 code, so the minimum, and every form, is the one an exhaustive search
-over the same orders finds. The search stays exponential on large sparse
-vertex-transitive graphs, which have no twins: one ``canonical_form`` of
-C16 takes 0.11-0.13 s (Python 3.11, one core of a 2-vCPU VM). Exactness
+over the same orders finds.
+
+Automorphism pruning pays only when automorphisms are found early
+(McKay and Piperno 2014), so a tie of three or more candidates is
+explored by each candidate's distances to the prefix vertices that can
+tell the candidates apart, in prefix order, and then by label. The tied
+candidates share one row, so every prefix vertex is adjacent to all of
+them or to none. One that is adjacent to none counts only if it shares
+no neighbor with one of them; otherwise each candidate is at distance 2
+from it. So a graph of diameter <= 2 never computes a distance. Each
+counted vertex's distances are computed once per call, when first
+needed, and a vertex it cannot reach reads 0. The key does not depend on
+labels, so an automorphism that fixes the prefix maps an explored
+candidate onto a sibling with the same key, and the first descent into
+that sibling follows the image of the explored branch as far as keys
+tell candidates apart: it meets an equal code early and records the
+automorphism before the sibling's subtree is searched. On C13 the search
+takes 750-752 frames over ten relabelings, against 1,061-2,155 in label
+order. A tie of two stays in label order. The order decides only which
+branch is explored first: the orders searched are the same, and the row
+bound, the orbits of the stored generators and the swaps of twins are
+each valid in any order, so every form is unchanged. The search stays
+exponential on large sparse vertex-transitive graphs, which have no
+twins: one ``canonical_form`` of C16 takes 0.07-0.10 s, 17,083-17,090
+frames (Python 3.11, one core of a 2-vCPU VM). Exactness
 for the package's working range is cross-checked in the test suite
 against brute-force permutation search, a breadth-first frontier search
 over the same orders, and known isomorphism-class counts.
@@ -172,6 +194,26 @@ def _orbits(seeds: int, generators: list[list[int]]) -> int:
     return mask
 
 
+def _distances(n: int, adj: tuple[int, ...], p: int) -> list[int]:
+    # Each vertex's distance from p, layer by layer; 0 where p cannot
+    # reach.
+    dist = [0] * n
+    seen = layer = 1 << p
+    d = 0
+    while layer:
+        reach = 0
+        while layer:
+            low = layer & -layer
+            layer ^= low
+            v = low.bit_length() - 1
+            dist[v] = d
+            reach |= adj[v]
+        layer = reach & ~seen
+        seen |= reach
+        d += 1
+    return dist
+
+
 def _min_code_rows(n: int, adj: tuple[int, ...]) -> list[int]:
     """Rows 1..n-1 of the least code: row i holds the adjacency of the
     i-th vertex of the order to the vertices before it, first one first.
@@ -207,7 +249,7 @@ def _min_code_rows(n: int, adj: tuple[int, ...]) -> list[int]:
     cells = refined_colors(n, adj)
     if len(cells) < n:
         best_rows: list[int] = []
-        _search(n, adj, cells, best_rows, [], [], [], [], False, [], 0)
+        _search(n, adj, cells, best_rows, [], [], [], [], False, [], 0, {})
         return best_rows[1:]
     full = (1 << n) - 1
     column = ((1 << n * n) - 1) // full if n else 0  # bit 0 of every row
@@ -233,6 +275,7 @@ def _search(
     tight: bool,
     pending: list[tuple[int, int]],
     k: int,
+    distances: dict[int, list[int]],
 ) -> int:
     # Extend ``order`` depth-first and return the position to backtrack
     # to: n, or the position where an automorphism just found maps an
@@ -242,7 +285,9 @@ def _search(
     # each row against the whole of ``order``; it is empty at a cell's
     # first position, where ``cells[k]`` is the cell to open. The best
     # code, its order and the automorphisms found are written into
-    # ``best_rows``, ``best_order`` and ``generators``.
+    # ``best_rows``, ``best_order`` and ``generators``. ``distances``
+    # holds, per prefix vertex, the distances that order the ties of
+    # three or more candidates, computed when a tie first needs them.
     pos = len(order)
     while pos < n:
         if not pending:
@@ -341,6 +386,37 @@ def _search(
         return level
 
     rows.append(least)
+    if len(tied) > 2:
+        # Explore the tie by distance to the prefix, then by label. Only
+        # a prefix vertex that is not adjacent to the tied candidates and
+        # shares no neighbor with one of them can tell them apart.
+        far: list[list[int]] = []
+        bit = pos
+        for p in order:
+            bit -= 1
+            if least >> bit & 1:
+                continue
+            ap = adj[p]
+            for v in tied:
+                if not ap & adj[v]:
+                    break
+            else:
+                continue
+            dist = distances.get(p)
+            if dist is None:
+                dist = distances[p] = _distances(n, adj, p)
+            far.append(dist)
+        if far:
+            width = n.bit_length()
+            keys = []
+            for v in tied:
+                key = 0
+                for dist in far:
+                    key = key << width | dist[v]
+                keys.append(key << width | v)
+            keys.sort()
+            label = (1 << width) - 1
+            tied = [key & label for key in keys]
     # Skip candidates in the orbit of an explored one, under the stored
     # automorphisms that fix ``order`` and under the swaps of twins.
     skip = 0
@@ -371,7 +447,9 @@ def _search(
         for row, w in pending:
             if w != v:
                 child.append((row << 1 | (av >> w & 1), w))
-        level = _search(n, adj, cells, best_rows, best_order, generators, order, rows, tight, child, k)
+        level = _search(
+            n, adj, cells, best_rows, best_order, generators, order, rows, tight, child, k, distances
+        )
         del order[pos:]
         del rows[pos + 1 :]
         if level < pos:

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
 from cdgraph import Graph
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def path_graph(n: int) -> Graph:
@@ -205,6 +210,24 @@ def seeded_graphs(seed: int, count: int, max_n: int = 62) -> list[Graph]:
         edges = SEEDED_KINDS[i % len(SEEDED_KINDS)](rng, n)
         out.append(_shuffled(rng, n, edges))
     return out
+
+
+@pytest.fixture
+def perfbench_module(monkeypatch):
+    """A loader of ``perfbench/<name>.py`` modules, which imports them
+    without writing into ``perfbench/`` and forgets the ``oracle`` module
+    they share afterwards."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+
+    def load(name: str):
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    yield load
+    sys.modules.pop("oracle", None)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,5 @@
 import ast
-import importlib.util
+import importlib
 import os
 import subprocess
 import sys
@@ -29,7 +29,6 @@ from cdgraph import (
 from conftest import path_graph, twin_cells_after_search
 
 ROOT = Path(__file__).resolve().parent.parent
-PERFBENCH = ROOT / "perfbench"
 
 
 def test_every_exported_name_resolves():
@@ -39,15 +38,8 @@ def test_every_exported_name_resolves():
 
 
 @pytest.fixture
-def tracer(monkeypatch):
-    """``perfbench/tracer.py`` imported without writing into ``perfbench/``."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    yield module
-    sys.modules.pop("oracle", None)
+def tracer(perfbench_module):
+    return perfbench_module("tracer")
 
 
 def test_benchmark_traced_names_resolve(tracer):

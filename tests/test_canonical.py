@@ -15,6 +15,7 @@ from cdgraph import (
     canonical_form,
     complete_graph,
     decode_graph6,
+    diameter,
     direct_product,
     encode_graph6,
     enumerate_nonisomorphic,
@@ -359,8 +360,6 @@ class TestCanonicalExactness:
         assert canonical_form(a) != canonical_form(b)
 
     def test_c16_finishes_in_seconds(self):
-        # The breadth-first frontier needed about 9 s here; automorphism
-        # pruning keeps it well under a second on the same machine.
         start = time.perf_counter()
         canonical_form(cycle_graph(16))
         assert time.perf_counter() - start < 5.0
@@ -583,22 +582,23 @@ def min_rows_over_cell_orders(n: int, adj: tuple[int, ...], cells: list[int]) ->
     return best
 
 
-def search_frames(monkeypatch, g: Graph) -> int:
-    """The number of ``_search`` frames one ``canonical_form(g)`` runs,
-    counted by wrapping the module global through which the search
-    recurses."""
-    frames = 0
-    search = canonical._search
+def calls(monkeypatch, module, name: str, run) -> int:
+    """The number of calls ``run()`` makes to the function ``name`` of
+    ``module``, counted by wrapping the module global: ``_search``
+    recurses, and calls ``_distances``, through the globals of
+    ``canonical``."""
+    count = 0
+    function = getattr(module, name)
 
     def counting(*args):
-        nonlocal frames
-        frames += 1
-        return search(*args)
+        nonlocal count
+        count += 1
+        return function(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(canonical, "_search", counting)
-        canonical_form(g)
-    return frames
+        patch.setattr(module, name, counting)
+        run()
+    return count
 
 
 def is_twin_class(adj: tuple[int, ...], cell: int) -> bool:
@@ -636,7 +636,10 @@ class TestTwinCells:
         # which it places in one step: the frame count is the same at
         # every n, where placing the twins one position at a time made a
         # tie, and a frame, at each of them.
-        frames = {n: search_frames(monkeypatch, odd_family(n)) for n in range(10, 63, 2)}
+        frames = {
+            n: calls(monkeypatch, canonical, "_search", lambda: canonical_form(odd_family(n)))
+            for n in range(10, 63, 2)
+        }
         assert frames == {n: 5 for n in range(10, 63, 2)}
 
     def test_all_twin_colorings_never_branch(self, monkeypatch):
@@ -649,13 +652,14 @@ class TestTwinCells:
             cells = oracles.refined_cells_by_sorted_neighbors(7, g.edges())
             if all(is_twin_class(adj, cell) for cell in cells):
                 discrete = len(cells) == 7
-                assert search_frames(monkeypatch, g) == (0 if discrete else 1)
+                searched = calls(monkeypatch, canonical, "_search", lambda: canonical_form(g))
+                assert searched == (0 if discrete else 1)
                 frames[discrete] += 1
         assert frames == {True: 2216, False: 5250}
         k34 = Graph(7, [(u, v) for u in range(3) for v in range(3, 7)])
         star = Graph(6, [(0, v) for v in range(1, 6)])
         for g in (complete_graph(9), k34, star):
-            assert search_frames(monkeypatch, g) == 1
+            assert calls(monkeypatch, canonical, "_search", lambda: canonical_form(g)) == 1
 
     def test_canonical_form_creates_no_reference_cycles(self):
         inputs = [g for n in range(1, 7) for g in enumerate_nonisomorphic(n)]
@@ -668,3 +672,122 @@ class TestTwinCells:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def relabelings(g: Graph, seed: str, count: int) -> list[Graph]:
+    rng = random.Random(seed)
+    found = []
+    for _ in range(count):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        found.append(permuted(g, perm))
+    return found
+
+
+def every_circulant(max_n: int):
+    """Every circulant graph on 1..max_n vertices, one per set of
+    offsets from 1 to n // 2."""
+    for n in range(1, max_n + 1):
+        offsets = range(1, n // 2 + 1)
+        for k in range(len(offsets) + 1):
+            for chosen in combinations(offsets, k):
+                yield circulant(n, list(chosen))
+
+
+class TestTieOrder:
+    """A tie of three or more candidates is explored by each candidate's
+    distances to the prefix vertices that can tell the candidates apart,
+    then by label: the key does not depend on labels, so a sibling in the
+    orbit of an explored candidate is first descended into along the
+    image of the explored branch, which meets an equal code at once."""
+
+    # (natural labelling, 10 relabelings drawn from random.Random("C<m>")).
+    # Ties left in label order read 97, 225, 570 and 1,482 naturally, and
+    # relabelings moved C13 from 1,061 to 2,155.
+    CYCLE_FRAMES = {
+        10: (55, [55, 59, 55, 55, 59, 59, 59, 59, 59, 59]),
+        11: (121, [121, 122, 120, 121, 121, 121, 121, 121, 120, 120]),
+        12: (293, [298, 293, 293, 298, 293, 298, 293, 298, 298, 293]),
+        13: (751, [752, 751, 750, 751, 751, 750, 751, 751, 751, 750]),
+    }
+
+    # Per seed of the benchmark's canon-relabel corpus (30 sizes, 3
+    # relabelings): the search frames of the graphs other than C10..C13,
+    # their sha256 over the list's repr, both as with ties in label
+    # order, and the frames of the cycles.
+    BENCHMARK_FRAMES = {
+        1: (691, "697dd51f382d58b90442f7e00df86f213f6dbf705dbc5908f0610485779eaf26", 3677),
+        2: (610, "a6bed4920b52609e9801a4b695e90ef782a8800f90dc3b56e711b4bc6bd160da", 3683),
+        3: (600, "071b295a9c6955a6c29a7d4d9af0499daba45a8ff3c781eac824653e22aba372", 3679),
+    }
+
+    def frames(self, monkeypatch, g: Graph) -> int:
+        return calls(monkeypatch, canonical, "_search", lambda: canonical_form(g))
+
+    # The 7-prism, two 7-cycles with a perfect matching between them, has
+    # diameter 4: a key that caps distances at 3 reads 954 naturally.
+    PRISM7_FRAMES = (961, [944, 961, 800, 684, 773, 757, 649, 756, 761, 604])
+
+    def test_cycle_frames_are_pinned(self, monkeypatch):
+        for m, (natural, relabeled) in self.CYCLE_FRAMES.items():
+            g = cycle_graph(m)
+            assert self.frames(monkeypatch, g) == natural
+            assert [self.frames(monkeypatch, h) for h in relabelings(g, f"C{m}", 10)] == relabeled
+
+    def test_prism_frames_are_pinned(self, monkeypatch):
+        ring = [(i, (i + 1) % 7) for i in range(7)]
+        g = Graph(14, ring + [(u + 7, v + 7) for u, v in ring] + [(i, i + 7) for i in range(7)])
+        natural, relabeled = self.PRISM7_FRAMES
+        assert self.frames(monkeypatch, g) == natural
+        assert [self.frames(monkeypatch, h) for h in relabelings(g, "prism7", 10)] == relabeled
+
+    def test_benchmark_graphs_other_than_cycles_keep_their_frames(self, monkeypatch, perfbench_module):
+        corpus = perfbench_module("corpus")
+        cycles = {"C10", "C11", "C12", "C13"}
+        for seed, (total, digest, cycle_total) in self.BENCHMARK_FRAMES.items():
+            others = []
+            cycle_frames = 0
+            for name, texts in corpus.canon_relabel(seed, 30, 3):
+                for text in texts:
+                    frames = self.frames(monkeypatch, decode_graph6(text))
+                    if name in cycles:
+                        cycle_frames += frames
+                    else:
+                        others.append(frames)
+            assert sum(others) == total
+            assert hashlib.sha256(repr(others).encode()).hexdigest() == digest
+            assert cycle_frames == cycle_total
+
+    def test_no_distance_is_computed_below_diameter_three(self, monkeypatch):
+        # A prefix vertex enters the key only if some tied candidate is
+        # at distance 3 or more from it, so a graph of diameter <= 2
+        # never computes one; the n = 7 candidates compute few.
+        inputs = [paley(17), petersen(), complement(cycle_graph(37)), odd_family(62)]
+        inputs += [co_triangle_free(random.Random(n), n) for n in range(13, 63)]
+        assert all(diameter(g) <= 2 for g in inputs)
+
+        def forms(graphs):
+            return lambda: [canonical_form(g) for g in graphs]
+
+        assert calls(monkeypatch, canonical, "_distances", forms(inputs)) == 0
+        candidates = list(n7_candidates())
+        assert calls(monkeypatch, canonical, "_distances", forms(candidates)) == 235
+
+    @pytest.mark.parametrize("parts", [(6, 6), (6, 7), (5, 5, 5)], ids=["2C6", "C6+C7", "3C5"])
+    def test_rows_match_frontier_with_unreachable_vertices(self, parts):
+        # Every vertex of another component is at one fixed distance.
+        g = cycle_graph(parts[0])
+        for m in parts[1:]:
+            g = disjoint_union(g, cycle_graph(m))
+        expected = oracles.min_code_rows_by_frontier(g.n, g.edges())
+        for h in [g, *relabelings(g, repr(parts), 5)]:
+            assert _min_code_rows(h.n, h.adjacency_masks) == expected
+
+    def test_rows_match_frontier_on_every_small_circulant(self):
+        count = 0
+        for g in every_circulant(13):
+            expected = oracles.min_code_rows_by_frontier(g.n, g.edges())
+            for h in [g, *relabelings(g, repr(g.edges()), 2)]:
+                assert _min_code_rows(h.n, h.adjacency_masks) == expected
+            count += 1
+        assert count == 253
