@@ -29,22 +29,23 @@ big-int operations per vertex. At n <= 8, 36% of the generator's
 candidates refine to a discrete coloring.
 
 Every other coloring goes through a depth-first branch-and-bound search
-that opens the cells in color order. A singleton cell is placed
-directly. A cell of pairwise twins (vertices whose neighborhoods agree
-apart from each other) needs no branching: the transpositions of twins
-are automorphisms that fix every vertex outside the cell, so every
-order of its members gives the same code, and the members ascending
-give it. When every cell is a twin class, the search never branches: at
-n <= 8 that holds for another 46% of the generator's candidates.
+that opens the cells in color order. A cell of pairwise twins
+(vertices whose neighborhoods agree apart from each other), a singleton
+included, needs no branching: the transpositions of twins are
+automorphisms that fix every vertex outside the cell, so every order of
+its members gives the same code, and the members ascending give it.
+When every cell is a twin class, the search never branches: at n <= 8
+that holds for another 46% of the generator's candidates.
 
 Elsewhere the search branches and bounds. It extends
 an order one position at a time, taking forced steps (one candidate with
 the minimal next row) in a loop, branching only on candidates that tie,
 and abandoning a branch as soon as its next row exceeds the best code's
-row there. A twin cell is placed in one step wherever the search meets
-it: its members share one row against the prefix, and each later member
-adds one bit per member placed before it, 1 for true twins and 0 for
-false ones. Elsewhere rows are computed against the whole prefix only at
+row there. A twin cell, a singleton included, is placed in one step
+wherever the search meets it: its members share one row against the
+prefix, computed once for the first member, and each later member adds
+one bit per member placed before it, 1 for true twins and 0 for false
+ones. Elsewhere rows are computed against the whole prefix only at
 a cell's first position: a row against a longer prefix is the shorter
 row with one more bit, the adjacency to the vertex just placed, so the
 cell's unused members carry their rows to the next position, in a forced
@@ -64,11 +65,11 @@ over the same orders finds.
 Automorphism pruning pays only when automorphisms are found early
 (McKay and Piperno 2014), so a tie of three or more candidates is
 explored by each candidate's distances to the prefix vertices that can
-tell the candidates apart, in prefix order, and then by label. The tied
-candidates share one row, so every prefix vertex is adjacent to all of
-them or to none. One that is adjacent to none counts only if it shares
-no neighbor with one of them; otherwise each candidate is at distance 2
-from it. So a graph of diameter <= 2 never computes a distance. Each
+tell the candidates apart, in prefix order, and then by label (the tie
+is listed in label order and sorted stably). The tied candidates share
+one row, so every prefix vertex is adjacent to all of them or to none.
+One that is adjacent to none counts only if it shares no neighbor with
+one of them; otherwise each candidate is at distance 2 from it. So a graph of diameter <= 2 never computes a distance. Each
 counted vertex's distances are computed once per call, when first
 needed, and a vertex it cannot reach reads 0. The key does not depend on
 labels, so an automorphism that fixes the prefix maps an explored
@@ -229,14 +230,15 @@ def _min_code_rows(n: int, adj: tuple[int, ...]) -> list[int]:
     n bits, so no shift reaches the next lane.
 
     Any other coloring goes to the search, which opens the refined cells
-    in color order and places each singleton directly.
+    in color order.
 
-    A cell of pairwise twins is placed in one step, its members
-    ascending: the transpositions of twins are automorphisms that fix
-    the vertices before the cell and generate every permutation inside
-    it, so every order of the cell gives the same code. Every member has
-    the same row against the prefix, and the k-th member's row is that
-    row with k more bits, all 1 for true twins and all 0 for false ones.
+    A cell of pairwise twins, a singleton included, is placed in one
+    step, its members ascending: the transpositions of twins are
+    automorphisms that fix the vertices before the cell and generate
+    every permutation inside it, so every order of the cell gives the
+    same code. Every member has the same row against the prefix, computed
+    once for the first member, and the k-th member's row is that row
+    with k more bits, all 1 for true twins and all 0 for false ones.
     (Twin-ness is transitive inside a cell: a vertex cannot have both a
     true twin, adjacent to it, and a false twin, not adjacent to it,
     because the false twin would be adjacent to the true twin and so to
@@ -283,11 +285,13 @@ def _search(
     # so far equals the best code's prefix. ``pending`` holds (row, v)
     # for the unused members of the cell being filled, in cell order,
     # each row against the whole of ``order``; it is empty at a cell's
-    # first position, where ``cells[k]`` is the cell to open. The best
-    # code, its order and the automorphisms found are written into
-    # ``best_rows``, ``best_order`` and ``generators``. ``distances``
-    # holds, per prefix vertex, the distances that order the ties of
-    # three or more candidates, computed when a tie first needs them.
+    # first position, where ``cells[k]`` is the cell to open: a twin
+    # cell, a singleton included, is placed whole, and any other cell's
+    # members become ``pending``. The best code, its order and the
+    # automorphisms found are written into ``best_rows``,
+    # ``best_order`` and ``generators``. ``distances`` holds, per prefix
+    # vertex, the distances that order the ties of three or more
+    # candidates, computed when a tie first needs them.
     pos = len(order)
     while pos < n:
         if not pending:
@@ -300,16 +304,6 @@ def _search(
             for u in order:
                 row = row << 1 | (av >> u & 1)
             rest = cell ^ low
-            if not rest:
-                # A singleton: placed directly.
-                if tight:
-                    if row > best_rows[pos]:
-                        return n
-                    tight = row == best_rows[pos]
-                order.append(v)
-                rows.append(row)
-                pos += 1
-                continue
             others = rest
             while others:
                 w = others & -others
@@ -317,21 +311,24 @@ def _search(
                     break
                 others ^= w
             if not others:
-                # A twin cell: place it in one step. Each member after
-                # the first has its predecessor's row and one more bit,
+                # A twin cell, a singleton included: place it in one
+                # step. Each member after the first has its predecessor's
+                # row and one more bit, its adjacency to the first member:
                 # 1 for true twins and 0 for false ones.
-                fill = 1 if av & rest else 0
-                while cell:
-                    low = cell & -cell
-                    cell ^= low
+                while True:
                     if tight:
                         if row > best_rows[pos]:
                             return n
                         tight = row == best_rows[pos]
-                    order.append(low.bit_length() - 1)
+                    order.append(v)
                     rows.append(row)
-                    row = row << 1 | fill
                     pos += 1
+                    if not rest:
+                        break
+                    low = rest & -rest
+                    rest ^= low
+                    v = low.bit_length() - 1
+                    row = row << 1 | (av >> v & 1)
                 continue
             pending = [(row, v)]
             while rest:
@@ -407,16 +404,9 @@ def _search(
                 dist = distances[p] = _distances(n, adj, p)
             far.append(dist)
         if far:
-            width = n.bit_length()
-            keys = []
-            for v in tied:
-                key = 0
-                for dist in far:
-                    key = key << width | dist[v]
-                keys.append(key << width | v)
-            keys.sort()
-            label = (1 << width) - 1
-            tied = [key & label for key in keys]
+            # ``tied`` is ascending and the sort is stable, so equal
+            # distances leave candidates in label order.
+            tied.sort(key=lambda v: [dist[v] for dist in far])
     # Skip candidates in the orbit of an explored one, under the stored
     # automorphisms that fix ``order`` and under the swaps of twins.
     skip = 0

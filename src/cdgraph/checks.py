@@ -10,7 +10,8 @@ the graph.
 from __future__ import annotations
 
 import json
-from typing import Any, NamedTuple
+from types import MappingProxyType
+from typing import Any, Mapping, NamedTuple
 
 from . import graph as gr
 from .formats import GRAPH6_MAX_N, encode_graph6
@@ -20,15 +21,17 @@ PASS = "pass"
 FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
 
-CITATIONS = {
-    "palfy": "Remark 2.1 (Pálfy's three-prime theorem): any three vertices span an edge",
-    "component-bound": "Remark 2.1: at most two connected components",
-    "diameter-bound": "Remark 2.2: diameter at most 3 (applied per component)",
-    "cut-vertices": "Theorem 2.4: at most one cut vertex",
-    "regular-rule": "Theorem 2.4.1: a non-complete regular degree graph on n vertices is (n-2)-regular",
-    "forbidden-p4": "Theorem 2.3: the 4-vertex path graph is not a solvable-group degree graph",
-    "fitting-height": "Theorem 2.6: two nonadjacent vertices of degree < n-2 force Fitting height >= 3",
-}
+CITATIONS: Mapping[str, str] = MappingProxyType(
+    {
+        "palfy": "Remark 2.1 (Pálfy's three-prime theorem): any three vertices span an edge",
+        "component-bound": "Remark 2.1: at most two connected components",
+        "diameter-bound": "Remark 2.2: diameter at most 3 (applied per component)",
+        "cut-vertices": "Theorem 2.4: at most one cut vertex",
+        "regular-rule": "Theorem 2.4.1: a non-complete regular degree graph on n vertices is (n-2)-regular",
+        "forbidden-p4": "Theorem 2.3: the 4-vertex path graph is not a solvable-group degree graph",
+        "fitting-height": "Theorem 2.6: two nonadjacent vertices of degree < n-2 force Fitting height >= 3",
+    }
+)
 
 class CheckResult(NamedTuple):
     check: str

@@ -20,11 +20,14 @@ diameter, the periphery and eccentricities read that flag instead of
 summing rows. Components, eccentricities and the Lewis layers read
 rows of the matrices, the periphery folds the last one's rows into one
 mask, and ``is_block`` reads the block count, so ``_distance_layers``
-and ``_decompose`` are the only traversals; only ``bfs_distances``
-writes out per-vertex distances. The battery, the Lewis partitions and
-the theorem verdicts all read the same cached structure. A graph that
-``decode_graph6`` built also keeps the bytes it was decoded from, which
-``encode_graph6`` returns. The caches never enter ``==`` or ``hash``.
+and ``_decompose`` are this module's only traversals, and only
+``bfs_distances`` writes the cached layers out as per-vertex distances
+(the canonical-form search runs its own single-source BFS on adjacency
+masks, with no ``Graph`` to cache on). The battery, the Lewis
+partitions and the theorem verdicts all read the same cached structure.
+A graph that ``decode_graph6`` built also keeps the bytes it was
+decoded from, which ``encode_graph6`` returns. The caches never enter
+``==`` or ``hash``.
 """
 
 from __future__ import annotations
@@ -210,8 +213,8 @@ def _distance_layers(g: Graph) -> tuple[tuple[int, ...], bool]:
 def bfs_distances(g: Graph, source: int) -> list[int | float]:
     """Shortest-path distances from ``source``; unreachable -> inf.
 
-    The only place a per-vertex distance list is built: a fresh list
-    per call, written out from the cached BFS layers, so callers may
+    The only reader that writes the cached BFS layers out as a
+    per-vertex distance list: a fresh list per call, so callers may
     mutate it.
     """
     if not 0 <= source < g.n:

@@ -15,8 +15,14 @@ fixture run.
 """
 
 import hashlib
+import json
+import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -59,14 +65,49 @@ def best_of(runs: int, fn) -> float:
     return best
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+# Criterion 5's bound on the cold n <= 8 survey, in seconds.
+COLD_SURVEY_SECONDS = 60.0
+
+# Times the survey from a fresh import, so that no cache is warm, and
+# prints its seconds and the class count at n = 8.
+COLD_SURVEY = """
+import json, time
+from cdgraph import verify_section_3
+start = time.perf_counter()
+summaries = [verify_section_3(n) for n in range(1, 9)]
+seconds = time.perf_counter() - start
+print(json.dumps({"seconds": seconds, "total_nonisomorphic": summaries[-1].total_nonisomorphic}))
+"""
+
+
 @pytest.fixture(scope="module")
 def survey():
-    """Fresh single-threaded exhaustive run over n = 1..8."""
-    enumeration._level_forms.cache_clear()
-    start = time.perf_counter()
-    summaries = {n: verify_section_3(n) for n in range(1, 9)}
-    elapsed = time.perf_counter() - start
-    return summaries, elapsed
+    """The exhaustive run over n = 1..8, and a cold single-threaded run
+    timed in a child process while this one computes the summaries.
+
+    A child killed at the bound reads as infinitely slow: having run at
+    least as long as the bound, its survey could not have met it.
+    """
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    child = subprocess.Popen(
+        [sys.executable, "-c", COLD_SURVEY], env=env, stdout=subprocess.PIPE, text=True
+    )
+    try:
+        summaries = {n: verify_section_3(n) for n in range(1, 9)}
+        out, _ = child.communicate(timeout=COLD_SURVEY_SECONDS)
+    except subprocess.TimeoutExpired:
+        child.kill()
+        child.communicate()
+        cold = {"seconds": math.inf, "total_nonisomorphic": None}
+    except BaseException:
+        child.kill()
+        child.communicate()
+        raise
+    else:
+        cold = json.loads(out)
+    return summaries, cold
 
 
 def test_criterion_1_figure2_reproduction():
@@ -133,7 +174,7 @@ def test_criterion_4_complete_graph_parity():
 
 
 def test_criterion_5_exhaustive_block_theorem(survey):
-    summaries, elapsed = survey
+    summaries, cold = survey
     oracle_counts = {n: oracles.count_isomorphism_classes(n) for n in range(4, 7)}
     counts_ok = (
         oracle_counts == {4: 11, 5: 34, 6: 156}
@@ -141,6 +182,7 @@ def test_criterion_5_exhaustive_block_theorem(survey):
         and summaries[5].total_nonisomorphic == 34
         and summaries[6].total_nonisomorphic == 156
         and summaries[8].total_nonisomorphic == 12346
+        and cold["total_nonisomorphic"] == 12346
     )
     discrepancies = [g6 for n in range(1, 9) for g6 in summaries[n].theorem_3_3_discrepancies]
     outside = [g6 for n in range(1, 9) for g6 in summaries[n].theorem_3_3_not_applicable]
@@ -149,11 +191,11 @@ def test_criterion_5_exhaustive_block_theorem(survey):
         assert all_degrees_odd(g) and len(oracles.components(g.n, g.edges())) > 1
     criterion(
         5,
-        counts_ok and not discrepancies and elapsed < 60.0,
+        counts_ok and not discrepancies and cold["seconds"] < COLD_SURVEY_SECONDS,
         f"block theorem over all admissible graphs n<=8: 0 discrepancies "
         f"(class counts 11/34/156 oracle-checked, 12346 at n=8; "
         f"disconnected all-odd clique pairs surfaced: {outside}); "
-        f"run took {elapsed:.1f}s single-threaded",
+        f"cold run took {cold['seconds']:.1f}s single-threaded",
     )
 
 

@@ -609,8 +609,8 @@ def is_twin_class(adj: tuple[int, ...], cell: int) -> bool:
 
 
 class TestTwinCells:
-    """A cell of pairwise twins is placed in one step, wherever the
-    search meets it."""
+    """A cell of pairwise twins, a singleton included, is placed in one
+    step, wherever the search meets it."""
 
     def test_search_is_exact_for_a_coloring_that_is_not_equitable(self, monkeypatch):
         # Under the stable coloring every member of a cell sees each

@@ -16,6 +16,7 @@ from cdgraph import (
     run_battery,
 )
 from cdgraph.checks import (
+    CITATIONS,
     FAIL,
     NOT_APPLICABLE,
     PASS,
@@ -365,6 +366,10 @@ class TestBattery:
         assert "Theorem 2.3" in report.result("forbidden-p4").citation
         assert report.result("cut-vertices").verdict == FAIL
         assert "Theorem 2.4" in report.result("cut-vertices").citation
+
+    def test_citations_are_read_only(self):
+        with pytest.raises(TypeError):
+            CITATIONS["palfy"] = "any three vertices span an edge"
 
     def test_c5_fails_regular_rule(self):
         report = run_battery(cycle_graph(5))

@@ -2,11 +2,12 @@
 
 Distances come from one all-sources BFS whose layer matrices (row s of
 layer d masks the vertices at distance d from s) are cached on each
-``Graph``, as is the block decomposition; only ``bfs_distances`` writes
-out a per-vertex distance list. These tests pin that the caches never
-change an answer: whatever public function touches a graph first, the
-distances, eccentricities, diameter, periphery, diameter-bound witness
-and structure agree with the uncached oracles, also at 40 <= n <= 62
+``Graph``, as is the block decomposition; of the readers of that pass,
+only ``bfs_distances`` writes out a per-vertex distance list. These
+tests pin that the caches never change an answer: whatever public
+function touches a graph first, the distances, eccentricities,
+diameter, periphery, diameter-bound witness and structure agree with
+the uncached oracles, also at 40 <= n <= 62
 where rows span several machine words and a row spilling into the next
 would show; callers may mutate what they get back; equality and
 hashing ignore the caches; once warm, connectivity, components and
